@@ -20,6 +20,7 @@ from .errors import (
     QrhdError,
     ScheduleError,
     SingularMetricError,
+    SolverError,
 )
 from .geometry import (
     ConstantChart,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import copy
 import json
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .complexity import (
     ComplexityInputs,
     kinetic_norm_bound,
@@ -150,18 +151,52 @@ def build_potential(spec, mass, chart):
     raise ParameterError(f"unknown potential kind {kind!r}")
 
 
+_EXPR_FUNCTIONS = {"exp": np.exp, "cosh": np.cosh, "sqrt": np.sqrt, "log": np.log}
+_EXPR_CONSTANTS = {"e": np.e, "pi": np.pi}
+_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Load,
+               ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
+
+
+def _compile_schedule_expr(expr):
+    """Compile a(t) from a config after checking every node of its syntax tree.
+
+    Allowed: numbers, ``t``, ``e``, ``pi``, + - * / **, unary minus and calls
+    of the listed functions by name.  Anything else (attributes, subscripts,
+    keywords, other names) is a ``ParameterError``, so a config cannot reach
+    Python objects.
+    """
+    if not isinstance(expr, str):
+        raise ParameterError("a_expr must be a string")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ParameterError(f"a_expr does not parse: {type(exc).__name__}") from None
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            ok = (node.id in _EXPR_FUNCTIONS if id(node) in callees
+                  else node.id == "t" or node.id in _EXPR_CONSTANTS)
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float)
+        else:
+            ok = isinstance(node, _EXPR_NODES) and id(node) not in callees
+        if not ok:
+            what = ast.unparse(node) or type(node).__name__
+            raise ParameterError(f"a_expr may not contain {what!r}")
+    return compile(tree, "<a_expr>", "eval")
+
+
 def build_schedule(spec):
     if "gamma" in spec:
         return Schedule.exponential(
             gamma=float(spec["gamma"]), eta=float(spec.get("eta", 1.0)),
             t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
     if "a_expr" in spec:
-        expr = spec["a_expr"]
-        allowed = {"exp": np.exp, "cosh": np.cosh, "sqrt": np.sqrt,
-                   "log": np.log, "e": np.e, "pi": np.pi}
+        code = _compile_schedule_expr(spec["a_expr"])
 
-        def a_fn(t, _expr=expr, _ns=allowed):
-            return float(eval(_expr, {"__builtins__": {}}, dict(_ns, t=t)))
+        def a_fn(t, _code=code):
+            return float(eval(_code, {"__builtins__": {}},
+                              dict(_EXPR_FUNCTIONS, **_EXPR_CONSTANTS, t=t)))
 
         return Schedule(a=a_fn, eta=float(spec.get("eta", 1.0)), gamma=float(spec.get("gamma", 0.0)),
                         t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
@@ -259,7 +294,6 @@ def cmd_evolve(args):
         "version": __version__,
         "config_name": name,
         "config": cfg,
-        "numba": _kernels.numba_enabled(),
         "results": summary,
     }
     _write_json(out_dir / "metadata.json", meta)
@@ -314,7 +348,7 @@ def cmd_semiclassical(args):
     _write_json(out_dir / "study.json", {
         "version": __version__,
         "config": cfg,
-        "numba": _kernels.numba_enabled(),
+        "integrator": report.integrator,
         "bound": report.bound,
         "gamma_opt": report.gamma_opt,
         "fraction_satisfied": report.fraction_satisfied,
@@ -498,8 +532,6 @@ def cmd_geometry_check(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="qrhd", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="numba thread count for the study kernels")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="run a wave-function evolution experiment")
@@ -538,13 +570,6 @@ def main(argv=None):
     p.set_defaults(fn=cmd_geometry_check)
 
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except (ImportError, ValueError):
-            pass
     try:
         return args.fn(args)
     except ParameterError as exc:

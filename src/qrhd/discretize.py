@@ -160,7 +160,7 @@ class PotentialField:
         return out
 
     def node_values(self, grid):
-        key = id(grid)
+        key = (grid.lo.tobytes(), grid.hi.tobytes(), grid.shape)
         if key not in self._cache:
             vals = np.array([self.value_at(p) for p in grid.nodes()])
             if not np.all(np.isfinite(vals)):

@@ -24,11 +24,10 @@ this choice reproduces the envelope root (1 + s) e^{-s} = eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .discretize import Schedule, sphere_quadratic_potential
 from .errors import (
     BlowUpError,
@@ -148,69 +147,294 @@ def effective_potential_gradient(chart, potential, point, schedule, t, mass,
     return grad
 
 
+# -- adaptive integrator --------------------------------------------------------
+
+ODE_METHOD = "dopri5"
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+_STEP_FLOOR = 1e-12          # smallest step, relative to the integration span
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).  Row
+# i - 1 of _DP_A builds the point of stage i; the last row is the 5th-order
+# solution, whose derivative (stage 6) starts the next step.  _DP_E weights
+# the embedded error estimate, _DP_D the free 4th-order continuous extension.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+_DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
+
+
+@dataclass
+class OdeStats:
+    """Accepted and rejected steps and right-hand-side evaluations of one run."""
+
+    accepted: int = 0
+    rejected: int = 0
+    evaluations: int = 0
+
+
+class DormandPrince:
+    """Adaptive Dormand-Prince 5(4) steps for y' = f(t, y), y of shape (rows, n).
+
+    Error control is per row: a step is accepted when every live row's RMS
+    of err / (ODE_ATOL + ODE_RTOL |y|) is at most one, so each trajectory of a batch
+    meets the tolerance however many rows share the step.  ``freeze`` stops
+    rows for good: their derivative is zero from then on and they leave the
+    error norm.  A non-finite error norm, or a step below the floor, raises
+    ``BlowUpError``.
+    """
+
+    def __init__(self, f, t0, y0, t_end):
+        self.f = f
+        self.t, self.y, self.t_end = float(t0), y0, float(t_end)
+        self.h_min = _STEP_FLOOR * (self.t_end - self.t)
+        self.h = None
+        self.frozen = np.zeros(y0.shape[0], dtype=bool)
+        self.stats = OdeStats()
+        self.k = np.empty((7,) + y0.shape, dtype=y0.dtype)
+        self.f0 = self._eval(self.t, y0)
+
+    def freeze(self, rows):
+        self.frozen |= rows
+        self.f0[self.frozen] = 0
+
+    def _eval(self, t, y):
+        self.stats.evaluations += 1
+        dy = self.f(t, y)
+        if self.frozen.any():
+            dy[self.frozen] = 0
+        return dy
+
+    def _norm(self, x, scale):
+        with np.errstate(invalid="ignore"):     # non-finite norms raise in step()
+            rms = np.sqrt(np.mean(np.abs(x / scale) ** 2, axis=1))
+        rms[self.frozen] = 0.0
+        return float(rms.max())
+
+    def _initial_step(self):
+        """Hairer's starting-step heuristic for a 5th-order method."""
+        scale = ODE_ATOL + ODE_RTOL * np.abs(self.y)
+        d0, d1 = self._norm(self.y, scale), self._norm(self.f0, scale)
+        h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
+        f1 = self._eval(self.t + h0, self.y + h0 * self.f0)
+        dmax = max(d1, self._norm(f1 - self.f0, scale) / h0)
+        h1 = max(1e-6, 1e-3 * h0) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
+        return min(100 * h0, h1)
+
+    def step(self):
+        """Take one accepted step; its start stays in ``t_prev``, ``y_prev``."""
+        t, y, k = self.t, self.y, self.k
+        flat = k.reshape(7, -1)
+        k[0] = self.f0
+        h = self.h if self.h is not None else self._initial_step()
+        rejected = False
+        while True:
+            last = t + h >= self.t_end
+            if last:
+                h = self.t_end - t
+            for i in range(1, 7):
+                point = y + h * (_DP_A[i - 1, :i] @ flat[:i]).reshape(y.shape)
+                k[i] = self._eval(t + _DP_C[i] * h, point)
+            err = h * (_DP_E @ flat).reshape(y.shape)
+            scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(point))
+            err_norm = self._norm(err, scale)
+            if not np.isfinite(err_norm):
+                raise BlowUpError(f"state became non-finite near t={t + h}")
+            if err_norm <= 1.0:
+                break
+            self.stats.rejected += 1
+            rejected = True
+            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            if h < self.h_min:
+                raise BlowUpError(f"step size {h:.3e} fell below the floor at t={t}")
+        self.stats.accepted += 1
+        grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
+        self.h = h * max(0.2, min(grow, 1.0) if rejected else grow)
+        self.t_prev, self.y_prev = t, y
+        self.t, self.y = (self.t_end if last else t + h), point
+        self.f0 = k[6].copy()
+
+    def dense(self, times, cols=slice(None)):
+        """Continuous extension of the last step at ``times`` in [t_prev, t].
+
+        Returns an array of shape (rows, len(times), columns).
+        """
+        y0, k = self.y_prev[:, cols], self.k[:, :, cols]
+        h = self.t - self.t_prev
+        dy = self.y[:, cols] - y0
+        r3 = h * k[0] - dy
+        r4 = dy - h * k[6] - r3
+        r5 = h * np.tensordot(_DP_D, k, axes=1)
+        s = ((np.asarray(times) - self.t_prev) / h)[None, :, None]
+        s1 = 1.0 - s
+        return y0[:, None] + s * (dy[:, None] + s1 * (
+            r3[:, None] + s * (r4[:, None] + s1 * r5[:, None])))
+
+    def samples(self, times, cols=slice(None)):
+        """Step to ``times[-1]``, starting at ``times[0]``.
+
+        After every accepted step yields (i, j, values at times[i:j]), the
+        samples that step covers (possibly none).  Between yields the caller
+        may ``freeze`` rows or stop.
+        """
+        i = 1
+        while self.t < times[-1]:
+            self.step()
+            j = int(np.searchsorted(times, self.t, side="right"))
+            yield i, j, self.dense(times[i:j], cols)
+            i = j
+
+
 # -- trajectory integration ---------------------------------------------------
 
 def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
                   dt_ode=None, record_stride=1, mass=1.0):
-    """Fixed-step RK4 integration of the damped geodesic-descent equation.
+    """Adaptive integration of the damped geodesic-descent equation.
 
-    The state is complex; Gamma and the inverse metric are evaluated at the
-    real part of the position.  Raises ``DomainExitError`` (carrying the
-    last valid state) when Re(position) leaves the chart box, and
-    ``BlowUpError`` on non-finite state.
+    Dormand-Prince 5(4) at ``ODE_RTOL``/``ODE_ATOL``; the trajectory is
+    sampled by dense output at the multiples of ``dt_ode * record_stride``
+    below ``t_end`` and at ``t_end``.  The state is complex; Gamma and the
+    inverse metric are evaluated at the real part of the position.  Raises
+    ``DomainExitError`` (carrying the state at the start of the accepted
+    step that left the chart box) and ``BlowUpError`` on non-finite state.
     """
     gamma = schedule.gamma
     if dt_ode is None:
         dt_ode = min(1e-3, 0.05 / gamma) if gamma > 0 else 1e-3
-    pos = initial.position.astype(complex).copy()
-    vel = initial.velocity.astype(complex).copy()
+    pos = initial.position.astype(complex)
+    vel = initial.velocity.astype(complex)
     if not chart.contains(pos.real):
         raise DomainError("initial position outside the chart domain")
+    dim = pos.size
 
-    def rhs(t, pos_c, vel_c):
-        w = pos_c.real
-        gam = chart.christoffel_at(w)
-        ginv = chart.inverse_metric_at(w)
-        eta_t = schedule.eta_at(t)
-        gam_term = np.einsum('ijk,j,k->i', gam, vel_c, vel_c)
-        grad = effective_potential_gradient(chart, potential, pos_c, schedule,
+    def rhs(t, y):
+        p, v = y[0, :dim], y[0, dim:]
+        w = p.real
+        gam_term = np.einsum('ijk,j,k->i', chart.christoffel_at(w), v, v)
+        grad = effective_potential_gradient(chart, potential, p, schedule,
                                             t, mass, corrections)
-        return -(gam_term + 2.0 * gamma * vel_c + (eta_t / mass) * (ginv @ grad))
+        acc = -(gam_term + 2.0 * gamma * v
+                + (schedule.eta_at(t) / mass) * (chart.inverse_metric_at(w) @ grad))
+        return np.concatenate([v, acc])[None]
 
     n_steps = int(np.ceil(t_end / dt_ode - 1e-12))
-    times = [0.0]
-    positions = [pos.copy()]
-    velocities = [vel.copy()]
-    t = 0.0
-    for k in range(n_steps):
-        dt = min(dt_ode, t_end - t)
-        k1v = rhs(t, pos, vel)
-        p2 = pos + 0.5 * dt * vel
-        v2 = vel + 0.5 * dt * k1v
-        k2v = rhs(t + 0.5 * dt, p2, v2)
-        p3 = pos + 0.5 * dt * v2
-        v3 = vel + 0.5 * dt * k2v
-        k3v = rhs(t + 0.5 * dt, p3, v3)
-        p4 = pos + dt * v3
-        v4 = vel + dt * k3v
-        k4v = rhs(t + dt, p4, v4)
-        new_pos = pos + (dt / 6.0) * (vel + 2 * v2 + 2 * v3 + v4)
-        new_vel = vel + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.all(np.isfinite(new_pos.view(float))) and np.all(np.isfinite(new_vel.view(float)))):
-            raise BlowUpError(f"state became non-finite at t={t + dt}")
-        if not chart.contains(new_pos.real):
+    times = np.append(dt_ode * record_stride * np.arange(-(-n_steps // record_stride)),
+                      float(t_end))
+    solver = DormandPrince(rhs, 0.0, np.concatenate([pos, vel])[None], times[-1])
+    states = np.empty((times.size, 2 * dim), dtype=complex)
+    states[0] = solver.y[0]
+    for i, j, block in solver.samples(times):
+        if not chart.contains(solver.y[0, :dim].real):
+            start = solver.y_prev[0]
             raise DomainExitError(
-                f"trajectory left the chart domain at t={t + dt}",
-                last_state=SemiclassicalState(pos, vel, t),
-                time=t + dt,
+                f"trajectory left the chart domain at t={solver.t}",
+                last_state=SemiclassicalState(start[:dim], start[dim:], solver.t_prev),
+                time=solver.t,
             )
-        pos, vel = new_pos, new_vel
-        t += dt
-        if (k + 1) % record_stride == 0 or k == n_steps - 1:
-            times.append(t)
-            positions.append(pos.copy())
-            velocities.append(vel.copy())
-    return Trajectory(np.asarray(times), np.asarray(positions), np.asarray(velocities))
+        states[i:j] = block[0]
+    return Trajectory(times, states[:, :dim], states[:, dim:])
+
+
+def _sphere_rhs(A, R, mass, eta, gamma, corrections, log_measure):
+    """Batched right-hand side on y = (v, v'), shape (n, 2d), south chart.
+
+    Closed-form conformal-chart geometry: metric exp(xi) I with
+    xi = 2 log(2/(1+s)), s = |v|^2/R^2.  Connection and e^{-xi} are
+    evaluated at Re(v); the pulled-back quadratic V(v) = (m/2) x^T A x is
+    continued to complex v.  The ordering correction for this chart is the
+    linear function of s
+
+        dV + dV' = (-6 d^2 + 4 d + (8 - 2 d^2) s) / (32 m R^2),
+
+    so its gradient is (4 - d^2) v / (8 m R^4).  With ``log_measure`` the
+    state is complex; otherwise it stays real.
+    """
+    d = A.shape[1] - 1
+    R2 = R * R
+    mA = mass * A
+    slope = (4.0 - d * d) / (8.0 * mass * R2 * R2)
+
+    def rhs(t, y):
+        pos, vel = y[:, :d], y[:, d:]
+        w = pos.real
+        sw = np.einsum('ni,ni->n', w, w) / R2
+        b = (-4.0 / (R2 * (1.0 + sw)))[:, None] * w       # grad xi at Re(v)
+        einv = (0.5 * (1.0 + sw)) ** 2                      # e^{-xi} at Re(v)
+        gam_term = (np.einsum('ni,ni->n', b, vel)[:, None] * vel
+                    - 0.5 * np.einsum('ni,ni->n', vel, vel)[:, None] * b)
+
+        sc = np.einsum('ni,ni->n', pos, pos) / R2 if log_measure else sw
+        den = 1.0 + sc
+        x = np.empty((pos.shape[0], d + 1), dtype=y.dtype)
+        x[:, :d] = (2.0 / den)[:, None] * pos
+        x[:, d] = R * (1.0 - sc) / den
+        ax = np.matmul(mA, x[:, :, None])[:, :, 0]
+        axtop = ax[:, :d]
+        radial = np.einsum('ni,ni->n', pos, axtop) / R + ax[:, d]
+        grad = (2.0 / den)[:, None] * axtop - (4.0 * radial / (R * den * den))[:, None] * pos
+
+        a_t = np.exp(2.0 * gamma * t)
+        if corrections:
+            grad += (slope / (eta * a_t * a_t)) * pos
+        if log_measure:
+            grad += ((2j * d / (eta * a_t * R2)) / den)[:, None] * pos
+
+        out = np.empty_like(y)
+        out[:, :d] = vel
+        out[:, d:] = -(gam_term + 2.0 * gamma * vel + (eta / mass) * einv[:, None] * grad)
+        return out
+
+    return rhs
+
+
+def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0,
+                           corrections=False, log_measure=False):
+    """Integrate a batch of south-chart sphere trajectories, sampled at ``times``.
+
+    Returns (positions, exit_sample, stats): positions of shape
+    (n_instances, len(times), dim), complex only with ``log_measure``; the
+    index of each instance's first sample outside the study box (or
+    non-finite), -1 if none; and the integrator's ``OdeStats``.  An instance
+    is frozen at the end of the accepted step that leaves the box.
+    """
+    dtype = complex if log_measure else float
+    pos0 = np.asarray(pos0, dtype=dtype)
+    n, d = pos0.shape
+    halfwidth = STUDY_DOMAIN_HALFWIDTH * R
+    times = np.asarray(times, dtype=float)
+    y0 = np.concatenate([pos0, np.asarray(vel0, dtype=dtype)], axis=1)
+    rhs = _sphere_rhs(np.asarray(A, dtype=float), float(R), float(mass), float(eta),
+                      float(gamma), corrections, log_measure)
+    solver = DormandPrince(rhs, times[0], y0, times[-1])
+    positions = np.empty((n, times.size, d), dtype=dtype)
+    exit_sample = np.full(n, -1, dtype=np.int64)
+
+    def outside(p):
+        return ~(np.abs(p.real) <= halfwidth).all(axis=-1)
+
+    def record(i, j, block):
+        positions[:, i:j] = block
+        if j > i:
+            bad = outside(block)
+            hit = (exit_sample < 0) & bad.any(axis=1)
+            exit_sample[hit] = i + np.argmax(bad[hit], axis=1)
+
+    record(0, 1, pos0[:, None])
+    solver.freeze(outside(pos0))
+    for i, j, block in solver.samples(times, slice(0, d)):
+        record(i, j, block)
+        solver.freeze(outside(solver.y[:, :d]))
+    return positions, exit_sample, solver.stats
 
 
 def detect_t_star(times, positions, target, epsilon_star, chart=None,
@@ -369,6 +593,7 @@ class StudyReport:
     excluded_count: int
     fraction_satisfied: float
     params: dict
+    integrator: dict = field(default_factory=dict)   # method, tolerances, counts
 
     def all_satisfied(self):
         checked = [r.satisfied for r in self.runs if r.satisfied is not None]
@@ -415,16 +640,18 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     bound, gamma_opt = convergence_bound(lambda_eff, eta, mass, epsilon_star)
     runs = []
     excluded_count = 0
+    ode_steps = []
     for gamma in gammas:
+        # samples every dt * stride (0.01 up to gamma = 50) to the horizon
         dt = min(1e-3, 0.05 / gamma)
-        t_end = _study_horizon(gamma, lambda_eff, epsilon_star)
-        n_steps = int(np.ceil(t_end / dt))
+        n_steps = int(np.ceil(_study_horizon(gamma, lambda_eff, epsilon_star) / dt))
         stride = max(1, int(round(0.01 / dt)))
-        times, positions, exit_sample = _kernels.integrate_sphere_batch(
-            v0, vel0, A, radius, mass, eta, gamma, dt, n_steps, stride,
-            halfwidth=STUDY_DOMAIN_HALFWIDTH * radius,
+        times = dt * stride * np.arange(n_steps // stride + 1)
+        positions, exit_sample, stats = integrate_sphere_batch(
+            v0, vel0, A, times, gamma, radius, mass, eta,
             corrections=corrections, log_measure=log_measure,
         )
+        ode_steps.append(dict(gamma=float(gamma), **asdict(stats)))
         for i in range(instances):
             dev = np.linalg.norm(positions[i].real - vstar[i], axis=-1)
             ratios = dev / dev[0]
@@ -451,6 +678,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
                     seed=seed, epsilon_star=epsilon_star, lambda_eff=lambda_eff,
                     radius=radius, mass=mass, eta=eta, corrections=corrections,
                     log_measure=log_measure, slack=slack),
+        integrator=dict(method=ODE_METHOD, rtol=ODE_RTOL, atol=ODE_ATOL,
+                        steps=ode_steps),
     )
 
 

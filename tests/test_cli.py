@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qrhd.cli import BUILTIN_CONFIGS, load_config, main
+from qrhd import ParameterError
+from qrhd.cli import BUILTIN_CONFIGS, build_schedule, load_config, main
 
 SMALL_EVOLVE = {
     "experiment": "evolve",
@@ -54,6 +55,7 @@ def test_evolve_outputs_and_determinism(tmp_path):
     assert meta["config"]["weyl_correction"] is False
     assert meta["config"]["initial"]["seed"] == 7
     assert "results" in meta and "south_v" in meta["results"]
+    assert "numba" not in meta
     header = t1.decode().splitlines()[0]
     assert header == "t,x_1,x_2,norm"
     frame = np.loadtxt(out1 / "south_v" / "frame_1.000000.csv", delimiter=",")
@@ -105,9 +107,31 @@ def test_semiclassical_flags_and_determinism(tmp_path):
     assert curves == ["0_1.csv", "0_5.csv", "1_1.csv", "1_5.csv"]
     assert (out1 / "curves" / "0_1.csv").read_bytes() == \
         (out2 / "curves" / "0_1.csv").read_bytes()
+    assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()
     study = json.loads((out1 / "study.json").read_text())
     assert study["bound"] == pytest.approx(3.8327, abs=1e-3)
     assert study["config"]["epsilon_star"] == 0.01
+    integrator = study["integrator"]
+    assert integrator["method"] == "dopri5" and integrator["rtol"] == 1e-10
+    assert [s["gamma"] for s in integrator["steps"]] == [1.0, 5.0]
+    assert all(s["evaluations"] > 6 * s["accepted"] for s in integrator["steps"])
+    assert "numba" not in study
+
+
+def test_schedule_expression_is_whitelisted(tmp_path, capsys):
+    sched = build_schedule({"a_expr": "exp(2*0.25*t) * cosh(-t) / sqrt(pi) + log(e)",
+                            "t_end": 1.0})
+    assert sched.a_at(0.5) == pytest.approx(np.exp(0.25) * np.cosh(0.5) / np.sqrt(np.pi) + 1)
+    escape = "().__class__.__bases__[0].__subclasses__()"
+    for expr in (escape, "__import__('os')", "exp(x=t)", "t if t else 1", "exp",
+                 "t +", "+".join(["t"] * 100000)):
+        with pytest.raises(ParameterError):
+            build_schedule({"a_expr": expr, "t_end": 1.0})
+    cfg = dict(SMALL_EVOLVE, schedule={"a_expr": escape, "t_end": 1.0, "dt": 0.02})
+    out = tmp_path / "never"
+    assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "ParameterError" in capsys.readouterr().err
 
 
 def test_bound_command(capsys):

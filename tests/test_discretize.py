@@ -223,6 +223,19 @@ def test_potential_field_requires_finite_node_values():
         pot.node_values(grid)
 
 
+def test_node_values_cache_is_keyed_by_grid_values():
+    # a grid dropped before the next is built can hand that grid its id
+    pot = quadratic_potential(np.eye(2), 1.0)
+    for n in (5, 7, 9):
+        grid = Grid(-np.ones(2), np.ones(2), (n, n))
+        vals = pot.node_values(grid)
+        assert vals.shape == (n * n,)
+        assert np.allclose(vals, 0.5 * np.sum(grid.nodes() ** 2, axis=1))
+        del grid, vals
+    same = Grid(-np.ones(2), np.ones(2), (7, 7))
+    assert pot.node_values(same) is pot.node_values(Grid(-np.ones(2), np.ones(2), (7, 7)))
+
+
 def test_grid_must_sit_inside_chart_domain():
     chart = FlatChart(1, domain=(np.zeros(1), np.ones(1)))
     grid = Grid(np.zeros(1), 2.0 * np.ones(1), (5,))

@@ -214,3 +214,10 @@ def test_first_crossing_interpolates():
     t = tr.first_crossing(0.3)
     assert 1.0 < t < 2.0
     assert tr.first_crossing(0.01) is None
+
+
+def test_solver_error_is_exported_as_numeric_error():
+    from qrhd import NumericError, SolverError
+
+    err = SolverError("linear solve stalled", residual=1e-3)
+    assert isinstance(err, NumericError) and err.residual == 1e-3

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,8 +24,8 @@ from qrhd import (
     run_instance_study,
     sphere_quadratic_potential,
 )
-from qrhd import _kernels
-from qrhd.semiclassical import make_sphere_study_problem
+from qrhd.discretize import PotentialField
+from qrhd.semiclassical import integrate_sphere_batch, make_sphere_study_problem
 
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
 
@@ -331,24 +329,59 @@ def test_random_instance_structure():
     assert np.array_equal(inst.initial_position, again.initial_position)
 
 
-def test_kernel_paths_agree_and_match_generic(monkeypatch):
+def test_batched_complex_path_matches_generic():
     inst = RandomInstance.draw(5, np.random.default_rng(3))
-    pos0 = inst.initial_position[None]
-    vel0 = np.zeros_like(pos0)
-    args = (pos0, vel0, inst.matrix[None], 1.0, 1.0, 1.0, 1.0, 1e-3, 3000, 10)
-    kw = dict(corrections=True, log_measure=True)
-    t_n, p_numba, _ = _kernels.integrate_sphere_batch(*args, **kw)
-    monkeypatch.setenv("QRHD_DISABLE_NUMBA", "1")
-    t_p, p_numpy, _ = _kernels.integrate_sphere_batch(*args, **kw)
-    monkeypatch.delenv("QRHD_DISABLE_NUMBA")
-    assert np.abs(p_numba - p_numpy).max() < 1e-12
+    times = 0.01 * np.arange(301)
+    positions, exit_sample, stats = integrate_sphere_batch(
+        inst.initial_position[None], np.zeros((1, 4)), inst.matrix[None], times, 1.0,
+        corrections=True, log_measure=True)
+    assert positions.dtype == complex and exit_sample[0] == -1
+    assert stats.evaluations == 6 * (stats.accepted + stats.rejected) + 2
     chart, pot = make_sphere_study_problem(inst)
     sched = Schedule.exponential(gamma=1.0, eta=1.0, t_end=3.0, dt=1.0)
     traj = integrate_eom(chart, pot, sched, SemiclassicalState(inst.initial_position,
                                                                np.zeros(4)),
                          3.0, corrections=True, dt_ode=1e-3, record_stride=10,
                          mass=1.0)
-    assert np.abs(traj.positions - p_numba[0]).max() < 1e-8
+    assert np.abs(traj.times - times).max() < 1e-12
+    assert np.abs(traj.positions - positions[0]).max() < 1e-8
+
+
+def test_batch_freezes_ejected_instances_and_matches_solo_runs():
+    # at weak damping the ordering correction ejects some instances early
+    kids = np.random.SeedSequence(42).spawn(16)
+    draws = [RandomInstance.draw(5, np.random.default_rng(k)) for k in kids]
+    A = np.stack([d.matrix for d in draws])
+    v0 = np.stack([d.initial_position for d in draws])
+    times = 0.01 * np.arange(501)
+    kw = dict(corrections=True)
+    positions, exit_sample, _ = integrate_sphere_batch(v0, np.zeros_like(v0), A,
+                                                       times, 0.1, **kw)
+    ejected = exit_sample >= 0
+    assert 0 < ejected.sum() < len(draws)
+    for i in range(len(draws)):
+        solo, solo_exit, _ = integrate_sphere_batch(v0[i:i + 1], np.zeros((1, 4)),
+                                                    A[i:i + 1], times, 0.1, **kw)
+        assert solo_exit[0] == exit_sample[i]
+        if not ejected[i]:
+            assert np.abs(solo[0] - positions[i]).max() < 1e-8
+        else:
+            k = exit_sample[i]
+            assert np.abs(solo[0, :k] - positions[i, :k]).max() < 1e-8
+            assert np.abs(positions[i, k]).max() > 4.0
+            # frozen at the end of the step that left the box
+            assert np.array_equal(positions[i, -1], positions[i, -2])
+
+
+def test_non_finite_state_raises_blow_up():
+    chart = FlatChart(1, domain=(-10.0 * np.ones(1), 10.0 * np.ones(1)))
+    # inverted well whose force turns NaN past x = 0.6
+    pot = PotentialField(lambda x: -0.5 * float(x @ x),
+                         gradient_fn=lambda x: np.where(x.real > 0.6, np.nan, -x))
+    sched = Schedule.exponential(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
+    st0 = SemiclassicalState(np.array([0.5]), np.array([0.0]))
+    with pytest.raises(BlowUpError):
+        integrate_eom(chart, pot, sched, st0, 10.0, corrections=False, mass=1.0)
 
 
 def test_study_smoke_and_determinism():
