@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import geometry
 from .errors import ConvergenceError, ParameterError, ScheduleError, SingularMetricError
 
 
@@ -133,11 +134,16 @@ class SparseOperator:
 
 @dataclass
 class PotentialField:
-    """Scalar potential with optional analytic gradient and cached node values."""
+    """Scalar potential with optional analytic gradient and cached node values.
+
+    ``fn`` takes one point; the built-in constructors below pass ``fn``s that
+    also take an ``(..., dim)`` stack, so ``node_values`` makes one call.
+    """
 
     fn: object
     gradient_fn: object = None
     _cache: dict = field(default_factory=dict, repr=False)
+    _stacked: bool = field(default=False, init=False, repr=False)
 
     def value_at(self, point):
         return float(np.real(self.fn(np.asarray(point))))
@@ -162,7 +168,11 @@ class PotentialField:
     def node_values(self, grid):
         key = (grid.lo.tobytes(), grid.hi.tobytes(), grid.shape)
         if key not in self._cache:
-            vals = np.array([self.value_at(p) for p in grid.nodes()])
+            nodes = grid.nodes()
+            if self._stacked:
+                vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
+            else:
+                vals = np.array([self.value_at(p) for p in nodes])
             if not np.all(np.isfinite(vals)):
                 raise ParameterError("potential not finite at every grid node")
             self._cache[key] = vals
@@ -176,12 +186,14 @@ def quadratic_potential(matrix, mass):
         raise ParameterError("quadratic potential matrix must be symmetric")
 
     def value(x):
-        return 0.5 * mass * (x @ (A @ x))
+        return 0.5 * mass * np.sum(x * (x @ A), axis=-1)
 
     def grad(x):
         return mass * (A @ x)
 
-    return PotentialField(value, grad)
+    pot = PotentialField(value, grad)
+    pot._stacked = True
+    return pot
 
 
 def sphere_quadratic_potential(matrix, mass, chart):
@@ -192,18 +204,14 @@ def sphere_quadratic_potential(matrix, mass, chart):
 
     R = chart.radius
     sign = 1.0 if chart.pole == "south" else -1.0
-    n_amb = chart.ambient_dim
 
     def embed(v):
-        s = (v @ v) / R**2
-        x = np.empty(n_amb, dtype=v.dtype)
-        x[:-1] = 2.0 * v / (1.0 + s)
-        x[-1] = sign * R * (1.0 - s) / (1.0 + s)
-        return x
+        s = np.sum(v**2, axis=-1, keepdims=True) / R**2
+        return np.concatenate([2.0 * v / (1.0 + s), sign * R * (1.0 - s) / (1.0 + s)], axis=-1)
 
     def value(v):
         x = embed(np.asarray(v))
-        return 0.5 * mass * (x @ (A @ x))
+        return 0.5 * mass * np.sum(x * (x @ A), axis=-1)
 
     def grad(v):
         v = np.asarray(v)
@@ -216,7 +224,9 @@ def sphere_quadratic_potential(matrix, mass, chart):
         Jlast = -sign * 4.0 * v / (R * den**2)
         return Jtop.T @ ax[:-1] + Jlast * ax[-1]
 
-    return PotentialField(value, grad)
+    pot = PotentialField(value, grad)
+    pot._stacked = True
+    return pot
 
 
 @dataclass
@@ -364,18 +374,28 @@ def assemble_hamiltonian(chart, grid, potential, schedule, t, mass,
     """
     ck, cv = hamiltonian_coefficients(schedule, t, mass)
     D = laplace_op if laplace_op is not None else assemble_laplace_beltrami(chart, grid)
-    Vd = potential.node_values(grid)
-    H = (-ck) * D.matrix + sp.diags(cv * Vd)
-    if include_weyl_correction:
-        from .geometry import quantum_corrections
-        corr = np.zeros(grid.size)
-        interior = ~grid.boundary_mask()
-        for k, p in enumerate(grid.nodes()):
-            if interior[k]:
-                dv, _ = quantum_corrections(chart, p, mass)
-                corr[k] = dv
-        H = H + sp.diags((ck * 2.0 * mass) * corr)  # (1/a) diag(dV)
+    v_nodes, weyl_nodes = hamiltonian_diagonals(chart, grid, potential, mass,
+                                                include_weyl_correction)
+    diag = cv * v_nodes
+    if weyl_nodes is not None:
+        diag = diag + (ck * 2.0 * mass) * weyl_nodes  # (1/a) diag(dV)
+    H = (-ck) * D.matrix + sp.diags(diag)
     return SparseOperator(H.tocsr(), weighted_symmetric=True)
+
+
+def hamiltonian_diagonals(chart, grid, potential, mass, include_weyl_correction):
+    """Node arrays of the two diagonals of H(t): (V, dV or None).
+
+    dV is the ordering correction delta_v at the interior nodes and zero on
+    the (clamped) boundary; it is None unless ``include_weyl_correction``.
+    """
+    v_nodes = potential.node_values(grid)
+    if not include_weyl_correction:
+        return v_nodes, None
+    interior = ~grid.boundary_mask()
+    weyl_nodes = np.zeros(grid.size)
+    weyl_nodes[interior], _ = geometry.quantum_corrections(chart, grid.nodes()[interior], mass)
+    return v_nodes, weyl_nodes
 
 
 def spectral_norm(op, tol=1e-6, max_iterations=10_000):

@@ -25,6 +25,7 @@ from .discretize import (
     SparseOperator,
     assemble_laplace_beltrami,
     hamiltonian_coefficients,
+    hamiltonian_diagonals,
 )
 from .errors import ParameterError, SolverError
 
@@ -174,6 +175,19 @@ def _bicgstab(A, b, x0, precond, rtol, maxiter=400):
     return x, it, rn / bn
 
 
+def _factor(A):
+    """Preconditioner for the CN matrix A: incomplete LU, exact LU if ILU fails.
+
+    The minimum-degree ordering keeps the triangular factors lean; the mild
+    drop tolerance halves the solve cost at no iteration penalty.
+    """
+    Acsc = A.tocsc()
+    try:
+        return spla.spilu(Acsc, drop_tol=1e-4, fill_factor=8, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:
+        return spla.splu(Acsc, permc_spec="MMD_AT_PLUS_A")
+
+
 class CrankNicolsonStepper:
     """Stateful stepper: assembles H(t) cheaply and reuses factorizations.
 
@@ -195,38 +209,22 @@ class CrankNicolsonStepper:
         D, sqrt_g = assemble_laplace_beltrami(chart, grid, return_weights=True)
         self.kinetic = (-D.matrix).tocsr()  # -Delta_g, scaled by ck/(…) later
         self.sqrt_g = sqrt_g
-        self.v_nodes = potential.node_values(grid)
-        self.weyl_nodes = None
-        if include_weyl_correction:
-            from .geometry import quantum_corrections
-            corr = np.zeros(grid.size)
-            interior = ~grid.boundary_mask()
-            for k, pnt in enumerate(grid.nodes()):
-                if interior[k]:
-                    corr[k], _ = quantum_corrections(chart, pnt, mass)
-            self.weyl_nodes = corr
+        self.v_nodes, self.weyl_nodes = hamiltonian_diagonals(
+            chart, grid, potential, mass, include_weyl_correction)
         # CN left-hand template: structure of K union the full diagonal, so
-        # per-step assembly is two in-place scalar updates of .data
-        template = (self.kinetic + sp.eye(grid.size, format="csr")).tocsr()
-        template.sort_indices()
-        self._A = template.astype(complex)
-        k_aligned = template.copy()
-        k_aligned.data = np.zeros_like(template.data)
-        k_csr = self.kinetic.tocsr()
-        k_csr.sort_indices()
-        for row in range(grid.size):
-            lo, hi = k_csr.indptr[row], k_csr.indptr[row + 1]
-            tlo, thi = k_aligned.indptr[row], k_aligned.indptr[row + 1]
-            cols = k_aligned.indices[tlo:thi]
-            pos = tlo + np.searchsorted(cols, k_csr.indices[lo:hi])
-            k_aligned.data[pos] = k_csr.data[lo:hi]
-        self._k_data = k_aligned.data.copy()
-        diag_pos = np.empty(grid.size, dtype=np.int64)
-        for row in range(grid.size):
-            tlo, thi = k_aligned.indptr[row], k_aligned.indptr[row + 1]
-            cols = k_aligned.indices[tlo:thi]
-            diag_pos[row] = tlo + np.searchsorted(cols, row)
-        self._diag_pos = diag_pos
+        # per-step assembly is two in-place scalar updates of .data.  Each
+        # entry is keyed row * n + col; in row-major order the keys ascend,
+        # so one searchsorted places K's entries and the diagonal.
+        n = grid.size
+        k = self.kinetic.tocoo()
+        k_keys = k.row.astype(np.int64) * n + k.col
+        keys = np.union1d(k_keys, np.arange(n, dtype=np.int64) * (n + 1))
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        self._A = sp.csr_matrix((np.zeros(keys.size, dtype=complex), keys % n, indptr),
+                                shape=(n, n))
+        self._k_data = np.zeros(keys.size)
+        self._k_data[np.searchsorted(keys, k_keys)] = k.data
+        self._diag_pos = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
         self._fac = None
         self._fac_time = -np.inf
         self.solve_iterations = []
@@ -250,14 +248,7 @@ class CrankNicolsonStepper:
         return ck * (self.kinetic @ psi) + diag * psi
 
     def _refresh(self, A, t_mid):
-        # minimum-degree ordering keeps the triangular factors lean; the
-        # mild drop tolerance halves the solve cost at no iteration penalty
-        Acsc = A.tocsc()
-        try:
-            self._fac = spla.spilu(Acsc, drop_tol=1e-4, fill_factor=8,
-                                   permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:
-            self._fac = spla.splu(Acsc, permc_spec="MMD_AT_PLUS_A")
+        self._fac = _factor(A)
         self._fac_time = t_mid
 
     def step(self, values, t, dt):
@@ -295,12 +286,7 @@ def crank_nicolson_step(psi, H_mid, dt, rtol=SOLVER_TARGET_RTOL):
         raise ParameterError("Hamiltonian shape does not match the state")
     A = (sp.eye(n, format="csr", dtype=complex) + 0.5j * dt * H).tocsr()
     b = psi.values - 0.5j * dt * (H @ psi.values)
-    try:
-        fac = spla.spilu(A.tocsc(), drop_tol=1e-4, fill_factor=8,
-                         permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:
-        fac = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    x, _, res = _bicgstab(A, b, psi.values, fac.solve, rtol)
+    x, _, res = _bicgstab(A, b, psi.values, _factor(A).solve, rtol)
     if res > SOLVER_REQUIRED_RTOL:
         raise SolverError(f"linear solve residual {res:.3e}", residual=res)
     return WaveFunction(x, psi.grid, psi.chart, psi.sqrt_g)
@@ -365,7 +351,6 @@ def evolve(chart, grid, potential, schedule, initial, sample_times=None,
     )
     psi = initial.values.copy()
     sqrt_g = stepper.sqrt_g
-    wf = WaveFunction(psi, grid, chart, sqrt_g)
 
     times, positions, norms, frames = [], [], [], []
     si = fi = 0

@@ -164,6 +164,11 @@ class MetricChart:
         pts = np.asarray(points, dtype=float)
         return np.array([self.sqrt_det_at(p) * self.inverse_metric_at(p) for p in pts])
 
+    def quantum_corrections_many(self, points, mass):
+        """(delta_v, delta_v_prime) arrays over checked interior points."""
+        out = np.array([quantum_corrections(self, p, mass) for p in points])
+        return out[:, 0], out[:, 1]
+
 
 class FlatChart(MetricChart):
     """Euclidean metric; every geometric quantity vanishes identically."""
@@ -194,6 +199,9 @@ class FlatChart(MetricChart):
 
     def volume_inverse_metric_many(self, points):
         return np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim)).copy()
+
+    def quantum_corrections_many(self, points, mass):
+        return np.zeros(len(points)), np.zeros(len(points))
 
 
 class ConstantChart(MetricChart):
@@ -241,6 +249,9 @@ class ConstantChart(MetricChart):
     def volume_inverse_metric_many(self, points):
         return np.broadcast_to(self._sqrt_det * self._ginv,
                                (len(points), self.dim, self.dim)).copy()
+
+    def quantum_corrections_many(self, points, mass):
+        return np.zeros(len(points)), np.zeros(len(points))
 
 
 class SphereStereographicChart(MetricChart):
@@ -330,6 +341,15 @@ class SphereStereographicChart(MetricChart):
         s = np.sum(pts**2, axis=-1) / self.radius**2
         scal = (2.0 / (1.0 + s)) ** (self.dim - 2)
         return scal[:, None, None] * np.eye(self.dim)
+
+    def quantum_corrections_many(self, points, mass):
+        # closed forms of the contractions for a conformally flat sphere chart
+        d = self.dim
+        s = np.sum(points**2, axis=-1) / self.radius**2
+        mR2 = mass * self.radius**2
+        delta_v = (-d * (d - 1) + (2 - d) * s) / (8.0 * mR2)
+        delta_v_prime = d * (-d + (2 - d) * s) / (16.0 * mR2)
+        return delta_v, delta_v_prime
 
     # -- embedding --------------------------------------------------------
 
@@ -432,11 +452,28 @@ def quantum_corrections(chart, point, mass):
     delta_v       = (1/8m) (-Ricci + g^{ij} Gamma^k_{il} Gamma^l_{jk})
     delta_v_prime = (1/8m) g^{ij} d_i Gamma_j,  Gamma_j the Christoffel trace
 
-    Both vanish identically on flat and constant-metric charts.
+    ``point`` is one point ``(dim,)``, giving two floats, or an ``(n, dim)``
+    stack strictly inside the domain, giving two length-n arrays.  Both
+    terms vanish identically on flat and constant-metric charts.  A stack on
+    the stereographic sphere chart of dimension d uses the closed forms,
+    with s = |v|^2 / R^2,
+
+        delta_v       = (-d (d - 1) + (2 - d) s) / (8 m R^2)
+        delta_v_prime = d (-d + (2 - d) s) / (16 m R^2)
+
+    A single point, and a stack on any other chart, takes the contractions
+    above point by point.
     """
     if mass <= 0:
         raise ParameterError("mass must be positive")
-    p = chart.require_inside(point)
+    pts = np.asarray(point, dtype=float)
+    if pts.ndim == 2:
+        if pts.shape[1] != chart.dim:
+            raise ParameterError(f"expected points of dimension {chart.dim}, got shape {pts.shape}")
+        if not chart.contains(pts):
+            raise DomainError(f"a point lies outside chart domain [{chart.lo}, {chart.hi}]")
+        return chart.quantum_corrections_many(pts, mass)
+    p = chart.require_inside(pts)
     ginv = chart.inverse_metric_at(p)
     gam = chart.christoffel_at(p)
     ric = chart.ricci_scalar_at(p)

@@ -236,6 +236,31 @@ def test_node_values_cache_is_keyed_by_grid_values():
     assert pot.node_values(same) is pot.node_values(Grid(-np.ones(2), np.ones(2), (7, 7)))
 
 
+@pytest.mark.parametrize("chart", [
+    FlatChart(2),
+    SphereStereographicChart(3, 1.0, pole="south"),
+    SphereStereographicChart(4, 2.0, pole="north"),
+])
+def test_builtin_node_values_match_pointwise_values(chart):
+    if isinstance(chart, FlatChart):
+        pot = quadratic_potential(A1, 0.1)
+    else:
+        pot = sphere_quadratic_potential(np.eye(chart.ambient_dim) - 0.2, 1.3, chart)
+    grid = Grid.for_chart(chart, 9)
+    vals = pot.node_values(grid)
+    ref = np.array([pot.value_at(p) for p in grid.nodes()])
+    assert vals.shape == (grid.size,) and vals.dtype == float
+    assert np.abs(vals - ref).max() <= 1e-14
+    assert pot.node_values(Grid.for_chart(chart, 9)) is vals
+    assert pot.node_values(Grid.for_chart(chart, 7)).shape == (7 ** chart.dim,)
+
+
+def test_builtin_potential_must_be_finite_at_every_node():
+    chart, grid = unit_grid(1, 5)
+    with pytest.raises(ParameterError):
+        quadratic_potential(np.array([[np.inf]]), 1.0).node_values(grid)
+
+
 def test_grid_must_sit_inside_chart_domain():
     chart = FlatChart(1, domain=(np.zeros(1), np.ones(1)))
     grid = Grid(np.zeros(1), 2.0 * np.ones(1), (5,))

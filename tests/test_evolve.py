@@ -18,6 +18,7 @@ from qrhd import (
     expectation_position,
     init_state,
     quadratic_potential,
+    sphere_quadratic_potential,
     weighted_norm,
 )
 
@@ -119,18 +120,25 @@ def test_time_reversal_with_frozen_hamiltonian():
     assert np.abs(back.values - psi.values).max() < 1e-9
 
 
-def test_evolve_matches_manual_stepping():
-    chart = FlatChart(2)
-    grid = Grid.for_chart(chart, 13)
-    pot = quadratic_potential(A1, 0.1)
+@pytest.mark.parametrize("chart, weyl", [
+    (FlatChart(2), False),
+    (SphereStereographicChart(4, 1.0, pole="north"), True),  # dV varies on a 3-chart
+], ids=["flat", "sphere-weyl"])
+def test_evolve_matches_manual_stepping(chart, weyl):
+    grid = Grid.for_chart(chart, 13 if chart.dim == 2 else 9)
+    if weyl:
+        pot = sphere_quadratic_potential(np.diag([1.0, 0.5, -1.0, 0.2]), 0.1, chart)
+    else:
+        pot = quadratic_potential(A1, 0.1)
     sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=0.05, dt=0.01)
     initial = init_state(grid, chart, "random", seed=5)
-    trace = evolve(chart, grid, pot, sched, initial,
-                   sample_times=[0.05], mass=0.1)
+    trace = evolve(chart, grid, pot, sched, initial, sample_times=[0.05],
+                   include_weyl_correction=weyl, mass=0.1)
     psi = initial
     for k in range(5):
         t_mid = k * 0.01 + 0.005
-        H = assemble_hamiltonian(chart, grid, pot, sched, t_mid, mass=0.1)
+        H = assemble_hamiltonian(chart, grid, pot, sched, t_mid, mass=0.1,
+                                 include_weyl_correction=weyl)
         psi = crank_nicolson_step(psi, H, 0.01)
     assert np.abs(trace.positions[-1] - psi.expectation_position()).max() < 1e-10
 
@@ -138,7 +146,6 @@ def test_evolve_matches_manual_stepping():
 def test_norm_conservation_and_dissipation_proxy():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 33)
-    from qrhd import sphere_quadratic_potential
     A2 = np.array([[1, 0, -1 / np.sqrt(2)], [0, 1, -1 / np.sqrt(2)],
                    [-1 / np.sqrt(2), -1 / np.sqrt(2), 1.0]])
     pot = sphere_quadratic_potential(A2, 1.0, chart)

@@ -158,6 +158,54 @@ def test_quantum_corrections_sphere_two_dim_closed_form(south3):
 def test_quantum_corrections_requires_positive_mass(south3):
     with pytest.raises(ParameterError):
         quantum_corrections(south3, np.zeros(2), 0.0)
+    with pytest.raises(ParameterError):
+        quantum_corrections(south3, np.zeros((3, 2)), -1.0)
+
+
+@pytest.mark.parametrize("chart", [
+    SphereStereographicChart(3, 1.0, pole="south"),
+    SphereStereographicChart(3, 1.5, pole="north"),
+    SphereStereographicChart(4, 1.0, pole="south"),
+    SphereStereographicChart(4, 2.0, pole="north"),
+    CustomChart(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3 * x[1]],
+                                       [0.3 * x[1], 2.0 + np.sin(x[0])]])),
+])
+def test_quantum_corrections_stack_matches_pointwise(chart):
+    pts = interior_points(chart, 5 if isinstance(chart, CustomChart) else 40, seed=3)
+    pts[0] = 0.0
+    dv, dvp = quantum_corrections(chart, pts, 0.7)
+    assert dv.shape == dvp.shape == (len(pts),)
+    ref = np.array([quantum_corrections(chart, p, 0.7) for p in pts])
+    assert np.abs(dv - ref[:, 0]).max() <= 1e-13
+    assert np.abs(dvp - ref[:, 1]).max() <= 1e-13
+    single = quantum_corrections(chart, pts[1], 0.7)
+    assert all(type(x) is float for x in single)
+
+
+@pytest.mark.parametrize("chart", [FlatChart(2), ConstantChart(A1)])
+def test_quantum_corrections_stack_is_exactly_zero_on_flat_and_constant(chart):
+    dv, dvp = quantum_corrections(chart, interior_points(chart, 7), 0.1)
+    assert np.array_equal(dv, np.zeros(7)) and np.array_equal(dvp, np.zeros(7))
+
+
+@pytest.mark.parametrize("ambient, radius", [(3, 1.0), (4, 2.0), (6, 0.5)])
+def test_quantum_corrections_stack_sums_to_semiclassical_correction(ambient, radius):
+    from qrhd.semiclassical import _sphere_ordering_correction
+
+    chart = SphereStereographicChart(ambient, radius, pole="north")
+    pts = interior_points(chart, 20, seed=4)
+    dv, dvp = quantum_corrections(chart, pts, 1.3)
+    ref = [_sphere_ordering_correction(p, radius, chart.dim, 1.3) for p in pts]
+    assert np.abs(dv + dvp - ref).max() <= 1e-13
+
+
+def test_quantum_corrections_stack_checks_the_domain(south3):
+    pts = interior_points(south3, 6, seed=5)
+    pts[4] = [south3.hi[0], 0.2]                 # on the boundary
+    with pytest.raises(DomainError):
+        quantum_corrections(south3, pts, 1.0)
+    with pytest.raises(ParameterError):
+        quantum_corrections(south3, np.zeros((4, 3)), 1.0)
 
 
 def test_manifold_hessian_flat_quadratic():
