@@ -42,7 +42,6 @@ from .discretize import (
     PotentialField,
     Schedule,
     SparseOperator,
-    assemble_hamiltonian,
     assemble_laplace_beltrami,
     quadratic_potential,
     spectral_norm,
@@ -52,7 +51,6 @@ from .evolve import (
     CrankNicolsonStepper,
     EvolutionTrace,
     WaveFunction,
-    crank_nicolson_step,
     evolve,
     expectation_position,
     init_state,

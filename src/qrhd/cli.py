@@ -572,11 +572,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParameterError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (ParameterError, KeyError, TypeError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -353,36 +353,6 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     return D
 
 
-def hamiltonian_coefficients(schedule, t, mass):
-    """Scalar prefactors (kinetic, potential) of H(t)."""
-    a = schedule.a_at(t)
-    if a <= 0:
-        raise ScheduleError(f"a({t}) = {a} must be positive")
-    eta = schedule.eta_at(t)
-    return 1.0 / (a * 2.0 * mass), a * eta
-
-
-def assemble_hamiltonian(chart, grid, potential, schedule, t, mass,
-                         include_weyl_correction=False, laplace_op=None):
-    """H(t) = -(1/a) D / (2m) + a eta diag(V) [+ (1/a) diag(dV) optionally].
-
-    The optional correction term is the ordering correction delta_v + its
-    trace part, carrying the same 1/a(t) prefactor as the kinetic term.  It
-    is off by default: the simulated Hamiltonian already contains the full
-    Laplace-Beltrami operator, and the correction belongs to its rewriting
-    in momentum-ordered form.
-    """
-    ck, cv = hamiltonian_coefficients(schedule, t, mass)
-    D = laplace_op if laplace_op is not None else assemble_laplace_beltrami(chart, grid)
-    v_nodes, weyl_nodes = hamiltonian_diagonals(chart, grid, potential, mass,
-                                                include_weyl_correction)
-    diag = cv * v_nodes
-    if weyl_nodes is not None:
-        diag = diag + (ck * 2.0 * mass) * weyl_nodes  # (1/a) diag(dV)
-    H = (-ck) * D.matrix + sp.diags(diag)
-    return SparseOperator(H.tocsr(), weighted_symmetric=True)
-
-
 def hamiltonian_diagonals(chart, grid, potential, mass, include_weyl_correction):
     """Node arrays of the two diagonals of H(t): (V, dV or None).
 

@@ -1,7 +1,8 @@
 """Crank-Nicolson integration of the time-dependent Schrodinger equation.
 
-The Hamiltonian is assembled from the Laplace-Beltrami operator and the
-potential diagonal with time-dependent scalar prefactors; each step solves
+``CrankNicolsonStepper`` is the one place H(t) is formed: the
+Laplace-Beltrami operator and the potential diagonal, assembled once, with
+time-dependent scalar prefactors.  Each step solves
 
     (I + i dt/2 H(t + dt/2)) psi' = (I - i dt/2 H(t + dt/2)) psi
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,10 +24,9 @@ from .discretize import (
     Schedule,
     SparseOperator,
     assemble_laplace_beltrami,
-    hamiltonian_coefficients,
     hamiltonian_diagonals,
 )
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, ScheduleError, SolverError
 
 SOLVER_TARGET_RTOL = 1e-12     # aimed-for residual; must land under 1e-10
 SOLVER_REQUIRED_RTOL = 1e-10
@@ -113,6 +112,8 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         phase = rng.uniform(0.0, 2.0 * np.pi, grid.size)
         values = mag * np.exp(1j * phase)
         if kind == "random-smooth":
+            import scipy.ndimage  # deferred: it pulls in scipy.special
+
             if smooth_length is None:
                 smooth_length = np.min(grid.hi - grid.lo) / 16.0
             sigmas = smooth_length / grid.spacing
@@ -189,7 +190,7 @@ def _factor(A):
 
 
 class CrankNicolsonStepper:
-    """Stateful stepper: assembles H(t) cheaply and reuses factorizations.
+    """Forms H(t) and takes Crank-Nicolson steps, reusing factorizations.
 
     The kinetic matrix and potential diagonal are fixed; only their scalar
     prefactors move with t, so "re-assembling H" per step is two scalar
@@ -230,37 +231,41 @@ class CrankNicolsonStepper:
         self.solve_iterations = []
 
     def hamiltonian_parts(self, t):
-        ck, cv = hamiltonian_coefficients(self.schedule, t, self.mass)
-        diag = cv * self.v_nodes
+        """(ck, diag) with H(t) = ck K + diag(diag), K = -Delta_g.
+
+        ck = 1/(2 m a(t)) and diag = a eta V, plus (1/a) dV when the ordering
+        correction is on.  It is off by default: K is already the full
+        Laplace-Beltrami operator, and dV belongs to its momentum-ordered form.
+        """
+        a = self.schedule.a_at(t)
+        if a <= 0:
+            raise ScheduleError(f"a({t}) = {a} must be positive")
+        ck = 1.0 / (a * 2.0 * self.mass)
+        diag = (a * self.schedule.eta_at(t)) * self.v_nodes
         if self.weyl_nodes is not None:
             diag = diag + (ck * 2.0 * self.mass) * self.weyl_nodes
         return ck, diag
 
-    def _matrices(self, t_mid, dt):
-        ck, diag = self.hamiltonian_parts(t_mid)
-        theta = 0.5j * dt
-        data = self._A.data
-        np.multiply(self._k_data, theta * ck, out=data)
-        data[self._diag_pos] += 1.0 + theta * diag
-        return self._A, ck, diag
-
-    def _apply_h(self, psi, ck, diag):
-        return ck * (self.kinetic @ psi) + diag * psi
-
-    def _refresh(self, A, t_mid):
-        self._fac = _factor(A)
-        self._fac_time = t_mid
+    def hamiltonian(self, t):
+        """H(t) as a sparse operator; W H is symmetric."""
+        ck, diag = self.hamiltonian_parts(t)
+        return SparseOperator((ck * self.kinetic + sp.diags(diag)).tocsr(),
+                              weighted_symmetric=True)
 
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""
         t_mid = t + 0.5 * dt
-        A, ck, diag = self._matrices(t_mid, dt)
-        b = values - 0.5j * dt * self._apply_h(values, ck, diag)
+        ck, diag = self.hamiltonian_parts(t_mid)
+        theta = 0.5j * dt
+        A = self._A
+        np.multiply(self._k_data, theta * ck, out=A.data)
+        A.data[self._diag_pos] += 1.0 + theta * diag
+        b = values - theta * (ck * (self.kinetic @ values) + diag * values)
         if self._fac is None or (t_mid - self._fac_time) > PRECOND_REFRESH_WINDOW:
-            self._refresh(A, t_mid)
+            self._fac, self._fac_time = _factor(A), t_mid
         x, it, res = _bicgstab(A, b, values, self._fac.solve, self.rtol)
         if res > SOLVER_REQUIRED_RTOL:
-            self._refresh(A, t_mid)
+            self._fac, self._fac_time = _factor(A), t_mid
             x, it2, res = _bicgstab(A, b, x, self._fac.solve, self.rtol)
             it += it2
             if res > SOLVER_REQUIRED_RTOL:
@@ -272,24 +277,6 @@ class CrankNicolsonStepper:
             self._fac = None  # force refresh next step
         self.solve_iterations.append(it)
         return x
-
-
-def crank_nicolson_step(psi, H_mid, dt, rtol=SOLVER_TARGET_RTOL):
-    """One Crank-Nicolson step against a pre-assembled midpoint Hamiltonian.
-
-    Solves (I + i dt/2 H) psi' = (I - i dt/2 H) psi iteratively to relative
-    residual below 1e-10 and returns the advanced wave function.
-    """
-    H = H_mid.matrix if isinstance(H_mid, SparseOperator) else sp.csr_matrix(H_mid)
-    n = psi.values.size
-    if H.shape != (n, n):
-        raise ParameterError("Hamiltonian shape does not match the state")
-    A = (sp.eye(n, format="csr", dtype=complex) + 0.5j * dt * H).tocsr()
-    b = psi.values - 0.5j * dt * (H @ psi.values)
-    x, _, res = _bicgstab(A, b, psi.values, _factor(A).solve, rtol)
-    if res > SOLVER_REQUIRED_RTOL:
-        raise SolverError(f"linear solve residual {res:.3e}", residual=res)
-    return WaveFunction(x, psi.grid, psi.chart, psi.sqrt_g)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -192,3 +193,15 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
     assert main(["semiclassical", "--dim", "5", "--gammas", "5",
                  "--instances", "1", "--seed", "1"]) == 0
     assert (tmp_path / "env_out" / "study" / "study.csv").exists()
+
+
+def test_evolve_exits_3_on_stalled_solve(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9,
+                                  "schedule": {**SMALL_EVOLVE["schedule"], "t_end": 0.04}})
+    monkeypatch.setattr(sys.modules["qrhd.evolve"], "_bicgstab",
+                        lambda A, b, x0, precond, rtol: (x0, 1, 1e-3))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "SolverError" and err["residual"] == 1e-3

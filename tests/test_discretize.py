@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from qrhd import (
     ConstantChart,
     ConvergenceError,
+    CrankNicolsonStepper,
     FlatChart,
     Grid,
     ParameterError,
@@ -12,7 +13,6 @@ from qrhd import (
     ScheduleError,
     SparseOperator,
     SphereStereographicChart,
-    assemble_hamiltonian,
     assemble_laplace_beltrami,
     quadratic_potential,
     spectral_norm,
@@ -147,11 +147,11 @@ def test_hamiltonian_pure_kinetic_and_flat_demo_combination():
     D = assemble_laplace_beltrami(chart, grid)
     # eta = 0, a = 1: H = -D / (2 m)
     sched0 = Schedule(a=lambda t: 1.0, eta=lambda t: 0.0, t_end=1.0, dt=0.1)
-    H = assemble_hamiltonian(chart, grid, pot, sched0, 0.3, mass=0.25, laplace_op=D)
+    H = CrankNicolsonStepper(chart, grid, pot, sched0, 0.25).hamiltonian(0.3)
     assert abs(H.matrix - (-D.matrix) / 0.5).max() == 0.0
     # the quadratic-descent setup at t = 0: H = -D/(2*0.1) + 0.1 diag(V)
     sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
-    H = assemble_hamiltonian(chart, grid, pot, sched, 0.0, mass=0.1, laplace_op=D)
+    H = CrankNicolsonStepper(chart, grid, pot, sched, 0.1).hamiltonian(0.0)
     Vd = pot.node_values(grid)
     expected = -D.matrix / 0.2 + sp.diags(0.1 * Vd)
     assert abs(H.matrix - expected).max() < 1e-14
@@ -162,9 +162,9 @@ def test_hamiltonian_weyl_correction_flag():
     grid = Grid.for_chart(chart, 9)
     pot = sphere_quadratic_potential(np.eye(3), 1.0, chart)
     sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
-    H0 = assemble_hamiltonian(chart, grid, pot, sched, 0.2, mass=1.0)
-    H1 = assemble_hamiltonian(chart, grid, pot, sched, 0.2, mass=1.0,
-                              include_weyl_correction=True)
+    H0 = CrankNicolsonStepper(chart, grid, pot, sched, 1.0).hamiltonian(0.2)
+    H1 = CrankNicolsonStepper(chart, grid, pot, sched, 1.0,
+                              include_weyl_correction=True).hamiltonian(0.2)
     diff = (H1.matrix - H0.matrix).toarray()
     assert np.abs(diff - np.diag(np.diagonal(diff))).max() == 0.0
     # 2-dim sphere chart: dV = -1/(4 m R^2), carried with the 1/a prefactor
@@ -179,7 +179,7 @@ def test_hamiltonian_rejects_nonpositive_a():
     pot = quadratic_potential(np.eye(1), 1.0)
     sched = Schedule(a=lambda t: 1.0 - t, eta=1.0, t_end=2.0, dt=0.1)
     with pytest.raises(ScheduleError):
-        assemble_hamiltonian(chart, grid, pot, sched, 1.5, mass=1.0)
+        CrankNicolsonStepper(chart, grid, pot, sched, 1.0).hamiltonian(1.5)
 
 
 def test_spectral_norm_diagonal():

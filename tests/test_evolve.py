@@ -1,23 +1,26 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from qrhd import (
+    CrankNicolsonStepper,
     FlatChart,
     Grid,
     ParameterError,
     PotentialField,
     Schedule,
-    SparseOperator,
+    SolverError,
     SphereStereographicChart,
     WaveFunction,
-    assemble_hamiltonian,
     assemble_laplace_beltrami,
-    crank_nicolson_step,
     evolve,
     expectation_position,
     init_state,
     quadratic_potential,
+    quantum_corrections,
     sphere_quadratic_potential,
     weighted_norm,
 )
@@ -73,23 +76,20 @@ def test_init_state_validation():
         init_state(grid, chart, "no-such-kind")
 
 
-def test_cn_step_identity_for_zero_hamiltonian():
-    chart, grid = flat_grid(1, 7)
-    psi = init_state(grid, chart, "random", seed=1)
-    H0 = SparseOperator(sp.csr_matrix((7, 7)))
-    out = crank_nicolson_step(psi, H0, 0.37)
-    assert np.array_equal(out.values, psi.values)
-
-
-def test_cn_step_diagonal_cayley_phase():
-    chart, grid = flat_grid(1, 9)
-    psi = init_state(grid, chart, "random", seed=2)
-    E = np.linspace(-2.0, 3.0, 9)
-    H = SparseOperator(sp.diags(E).tocsr())
-    dt = 0.05
-    out = crank_nicolson_step(psi, H, dt)
-    expected = psi.values * (1 - 0.5j * dt * E) / (1 + 0.5j * dt * E)
-    assert np.abs(out.values - expected).max() < 1e-13
+def test_stepper_step_matches_dense_cayley_solve():
+    chart = SphereStereographicChart(3, 1.0, pole="south")
+    grid = Grid.for_chart(chart, 17)
+    pot = sphere_quadratic_potential(np.diag([1.0, 0.5, -1.0]), 0.1, chart)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1,
+                                   include_weyl_correction=True)
+    psi = init_state(grid, chart, "random", seed=2).values
+    t, dt = 0.3, 0.05
+    H = stepper.hamiltonian(t + 0.5 * dt).matrix.toarray()
+    eye = np.eye(grid.size)
+    expected = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ psi)
+    out = stepper.step(psi, t, dt)
+    assert np.abs(out - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_cn_ground_state_is_stationary():
@@ -98,26 +98,26 @@ def test_cn_ground_state_is_stationary():
     grid = Grid.for_chart(chart, 129)
     pot = PotentialField(lambda x: 0.5 * float(x[0]) ** 2)
     sched = Schedule(a=lambda t: 1.0, eta=lambda t: 1.0, t_end=1.0, dt=0.01)
-    H = assemble_hamiltonian(chart, grid, pot, sched, 0.0, mass=1.0)
-    evals, evecs = np.linalg.eigh(H.matrix.toarray())
-    ground = evecs[:, 0].astype(complex)
-    psi0 = WaveFunction(ground, grid, chart).normalized()
-    psi = psi0
-    for _ in range(100):
-        psi = crank_nicolson_step(psi, H, 0.01)
-    overlap = np.sum(psi0.weights * np.conj(psi0.values) * psi.values)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 1.0)
+    evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).matrix.toarray())
+    psi0 = WaveFunction(evecs[:, 0], grid, chart).normalized()
+    psi = psi0.values
+    for k in range(100):
+        psi = stepper.step(psi, k * 0.01, 0.01)
+    overlap = np.sum(psi0.weights * np.conj(psi0.values) * psi)
     assert abs(abs(overlap) - 1.0) < 1e-6
 
 
 def test_time_reversal_with_frozen_hamiltonian():
     chart, grid = flat_grid(2, 17)
     pot = quadratic_potential(A1, 0.1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
-    H = assemble_hamiltonian(chart, grid, pot, sched, 0.4, mass=0.1)
-    psi = init_state(grid, chart, "random", seed=11)
-    fwd = crank_nicolson_step(psi, H, 0.02)
-    back = crank_nicolson_step(fwd, H, -0.02)
-    assert np.abs(back.values - psi.values).max() < 1e-9
+    a = np.exp(2 * 0.25 * 0.4)  # the exponential schedule frozen at t = 0.4
+    sched = Schedule(a=lambda t: a, eta=lambda t: 0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
+    psi = init_state(grid, chart, "random", seed=11).values
+    fwd = stepper.step(psi, 0.0, 0.02)
+    back = stepper.step(fwd, 0.02, -0.02)
+    assert np.abs(back - psi).max() < 1e-9
 
 
 @pytest.mark.parametrize("chart, weyl", [
@@ -134,13 +134,23 @@ def test_evolve_matches_manual_stepping(chart, weyl):
     initial = init_state(grid, chart, "random", seed=5)
     trace = evolve(chart, grid, pot, sched, initial, sample_times=[0.05],
                    include_weyl_correction=weyl, mass=0.1)
-    psi = initial
+    # dense reference built point by point, sharing no code with the stepper:
+    # H(t) = -D / (2 m a) + diag(a eta V + dV / a)
+    D = assemble_laplace_beltrami(chart, grid).matrix.toarray()
+    nodes = grid.nodes()
+    V = np.array([pot.value_at(p) for p in nodes])
+    dV = np.zeros(grid.size)
+    if weyl:
+        interior = ~grid.boundary_mask()
+        dV[interior] = [quantum_corrections(chart, p, 0.1)[0] for p in nodes[interior]]
+    eye = np.eye(grid.size)
+    psi = initial.values
     for k in range(5):
-        t_mid = k * 0.01 + 0.005
-        H = assemble_hamiltonian(chart, grid, pot, sched, t_mid, mass=0.1,
-                                 include_weyl_correction=weyl)
-        psi = crank_nicolson_step(psi, H, 0.01)
-    assert np.abs(trace.positions[-1] - psi.expectation_position()).max() < 1e-10
+        a = np.exp(2 * 0.25 * (k * 0.01 + 0.005))
+        H = -D / (2 * 0.1 * a) + np.diag(a * 0.1 * V + dV / a)
+        psi = np.linalg.solve(eye + 0.005j * H, (eye - 0.005j * H) @ psi)
+    expected = WaveFunction(psi, grid, chart).expectation_position()
+    assert np.abs(trace.positions[-1] - expected).max() < 1e-10
 
 
 def test_norm_conservation_and_dissipation_proxy():
@@ -228,3 +238,40 @@ def test_solver_error_is_exported_as_numeric_error():
 
     err = SolverError("linear solve stalled", residual=1e-3)
     assert isinstance(err, NumericError) and err.residual == 1e-3
+
+
+def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
+    chart, grid = flat_grid(2, 9)
+    pot = quadratic_potential(A1, 0.1)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
+    psi = init_state(grid, chart, "random", seed=1).values
+    # every solve stops at relative residual 1e-3; count solves and factors
+    mod = sys.modules["qrhd.evolve"]
+    calls = {"solve": 0, "factor": 0}
+    real_factor = mod._factor
+
+    def bicgstab(A, b, x0, precond, rtol, maxiter=400):
+        calls["solve"] += 1
+        return x0, 1, 1e-3
+
+    def factor(A):
+        calls["factor"] += 1
+        return real_factor(A)
+
+    monkeypatch.setattr(mod, "_bicgstab", bicgstab)
+    monkeypatch.setattr(mod, "_factor", factor)
+    with pytest.raises(SolverError) as info:
+        stepper.step(psi, 0.0, 0.01)
+    assert info.value.residual == 1e-3
+    # first factorization, one refresh after the failed solve, one retry
+    assert calls == {"solve": 2, "factor": 2}
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import qrhd; "
+            "print('scipy.ndimage' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
