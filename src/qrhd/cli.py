@@ -216,13 +216,26 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write equal-length columns as CSV with one bulk format.
+
+    Floats are written as FLOAT_FMT and anything else as str(v); numpy
+    arrays are read as Python scalars.
+    """
+    cols, fmts = [], []
+    for col in columns:
+        col = col.tolist() if isinstance(col, np.ndarray) else list(col)
+        if all(isinstance(v, float) for v in col):
+            fmts.append(FLOAT_FMT)
+        else:
+            fmts.append("%s")
+            col = [FLOAT_FMT % v if isinstance(v, float) else v for v in col]
+        cols.append(col)
+    n_rows = len(cols[0]) if cols else 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                (FLOAT_FMT % v) if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+        fh.write(((",".join(fmts) + "\n") * n_rows)
+                 % tuple(v for row in zip(*cols) for v in row))
 
 
 def _effective_evolve_config(cfg):
@@ -280,7 +293,8 @@ def cmd_evolve(args):
         rdir.mkdir(exist_ok=True)
         dim = grid.dim
         header = ["t"] + [f"x_{i + 1}" for i in range(dim)] + ["norm"]
-        _write_csv(rdir / "trace.csv", header, trace.trace_rows())
+        _write_csv(rdir / "trace.csv", header,
+                   [trace.times, *trace.positions.T, trace.norms])
         for t_frame, density in trace.frames:
             fpath = rdir / f"frame_{t_frame:.6f}.csv"
             np.savetxt(fpath, density, delimiter=",", fmt=FLOAT_FMT)
@@ -338,13 +352,12 @@ def cmd_semiclassical(args):
     for r in report.runs:
         status = "excluded" if r.excluded else (
             "" if r.t_star is None else str(bool(r.satisfied)).lower())
-        rows.append((r.instance, r.gamma,
-                     "" if r.t_star is None else FLOAT_FMT % r.t_star,
+        rows.append((r.instance, r.gamma, "" if r.t_star is None else r.t_star,
                      r.bound, status))
         _write_csv(out_dir / "curves" / f"{r.instance}_{r.gamma:g}.csv",
-                   ["t", "ratio"], zip(r.times.tolist(), r.ratios.tolist()))
+                   ["t", "ratio"], [r.times, r.ratios])
     _write_csv(out_dir / "study.csv",
-               ["instance", "gamma", "t_star", "bound", "satisfied"], rows)
+               ["instance", "gamma", "t_star", "bound", "satisfied"], zip(*rows))
     _write_json(out_dir / "study.json", {
         "version": __version__,
         "config": cfg,

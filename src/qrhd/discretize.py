@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .errors import ConvergenceError, ParameterError, ScheduleError, SingularMetricError
@@ -95,7 +94,7 @@ class Grid:
 class SparseOperator:
     """Square sparse operator with a weighted-symmetry tag and text export."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     weighted_symmetric: bool = False
 
     @property
@@ -118,6 +117,8 @@ class SparseOperator:
 
     @classmethod
     def from_coo_text(cls, text, shape=None):
+        import scipy.sparse as sp  # deferred: `import qrhd` loads no scipy
+
         rows, cols, vals = [], [], []
         for line in text.strip().splitlines():
             r, c, re_, im_ = line.split()
@@ -278,6 +279,8 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     the product W D is symmetric.  With ``return_weights`` the sqrt(g) node
     array is returned as well.
     """
+    import scipy.sparse as sp  # deferred: `import qrhd` loads no scipy
+
     if grid.dim != chart.dim:
         raise ParameterError("grid and chart dimensions disagree")
     if np.any(grid.lo < chart.lo - 1e-12) or np.any(grid.hi > chart.hi + 1e-12):

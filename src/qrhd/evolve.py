@@ -13,11 +13,10 @@ the step preserves the weighted norm up to the solver residual.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import (
     Grid,
@@ -32,6 +31,21 @@ SOLVER_TARGET_RTOL = 1e-12     # aimed-for residual; must land under 1e-10
 SOLVER_REQUIRED_RTOL = 1e-10
 PRECOND_REFRESH_WINDOW = 0.25  # schedule-time window one factorization serves
 PRECOND_REFRESH_ITERS = 6      # refresh early if solves get slower than this
+
+
+class _Lazy:
+    """Stands in for a module and imports it on first attribute access."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# a module global that `_factor` looks up at call time, so it can be replaced
+# from outside; `import qrhd` loads no scipy
+spla = _Lazy("scipy.sparse.linalg")
 
 
 @dataclass
@@ -92,7 +106,8 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         phases per node, from a seeded generator.
       - ``random-smooth``: the ``random`` field convolved with a Gaussian
         kernel of physical length ``smooth_length`` (default 1/16 of the
-        shortest box edge), then renormalized.  This is the package's
+        shortest box edge), reflected at the box ends and truncated at
+        4 sigma, then renormalized.  This is the package's
         "random distribution" for the bundled experiments: it keeps the
         randomness while leaving the state in the low-energy sector the
         descent dynamics can actually funnel.
@@ -112,21 +127,40 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         phase = rng.uniform(0.0, 2.0 * np.pi, grid.size)
         values = mag * np.exp(1j * phase)
         if kind == "random-smooth":
-            import scipy.ndimage  # deferred: it pulls in scipy.special
-
             if smooth_length is None:
                 smooth_length = np.min(grid.hi - grid.lo) / 16.0
             sigmas = smooth_length / grid.spacing
             f = values.reshape(grid.shape)
-            values = (
-                scipy.ndimage.gaussian_filter(f.real, sigmas)
-                + 1j * scipy.ndimage.gaussian_filter(f.imag, sigmas)
-            ).ravel()
+            values = (_gaussian_filter(f.real, sigmas)
+                      + 1j * _gaussian_filter(f.imag, sigmas)).ravel()
     else:
         raise ParameterError(f"unknown initial state kind: {kind!r}")
     values[boundary] = 0.0
     psi = WaveFunction(values, grid, chart)
     return psi.normalized()
+
+
+def _gaussian_filter(f, sigmas):
+    """Gaussian filter of a real array, reflected at the ends, cut at 4 sigma.
+
+    The weights and the order of summation, x_0 w_0 + sum_{j=r..1}
+    (x_{-j} + x_j) w_j, are those of ``scipy.ndimage.gaussian_filter`` with
+    its defaults, so the result is bitwise equal; sigma <= 1e-15 skips an axis.
+    """
+    for axis, sigma in enumerate(sigmas):
+        if sigma <= 1e-15:
+            continue
+        r = int(4.0 * float(sigma) + 0.5)
+        w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+        w = (w / w.sum())[r:]
+        g = np.moveaxis(f, axis, 0)
+        n = g.shape[0]
+        g = np.pad(g, [(r, r)] + [(0, 0)] * (g.ndim - 1), mode="symmetric")
+        out = g[r:r + n] * w[0]
+        for j in range(r, 0, -1):
+            out += (g[r - j:r - j + n] + g[r + j:r + j + n]) * w[j]
+        f = np.moveaxis(out, 0, axis)
+    return f
 
 
 def _bicgstab(A, b, x0, precond, rtol, maxiter=400):
@@ -158,15 +192,14 @@ def _bicgstab(A, b, x0, precond, rtol, maxiter=400):
             break
         alpha = rho_new / denom
         s = r - alpha * v
+        sn = np.linalg.norm(s)
+        if sn <= rtol * bn:   # converged at the half step
+            return x + alpha * phat, it + 1, sn / bn
         shat = precond(s)
         t = A @ shat
         tt = np.vdot(t, t)
         if tt == 0:
-            x = x + alpha * phat
-            r = s
-            it += 1
-            rn = np.linalg.norm(r)
-            break
+            return x + alpha * phat, it + 1, sn / bn
         omega = np.vdot(t, s) / tt
         x = x + alpha * phat + omega * shat
         r = s - omega * t
@@ -200,6 +233,8 @@ class CrankNicolsonStepper:
 
     def __init__(self, chart, grid, potential, schedule, mass,
                  include_weyl_correction=False, rtol=SOLVER_TARGET_RTOL):
+        import scipy.sparse as sp
+
         if mass <= 0:
             raise ParameterError("mass must be positive")
         self.chart = chart
@@ -248,6 +283,8 @@ class CrankNicolsonStepper:
 
     def hamiltonian(self, t):
         """H(t) as a sparse operator; W H is symmetric."""
+        import scipy.sparse as sp
+
         ck, diag = self.hamiltonian_parts(t)
         return SparseOperator((ck * self.kinetic + sp.diags(diag)).tocsr(),
                               weighted_symmetric=True)
@@ -304,10 +341,6 @@ class EvolutionTrace:
         r0, r1 = r[k - 1], r[k]
         frac = (r0 - threshold) / (r0 - r1) if r0 != r1 else 1.0
         return float(t0 + frac * (t1 - t0))
-
-    def trace_rows(self):
-        for k in range(self.times.size):
-            yield (self.times[k], *self.positions[k], self.norms[k])
 
 
 def evolve(chart, grid, potential, schedule, initial, sample_times=None,

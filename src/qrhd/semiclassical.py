@@ -405,7 +405,8 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
     (n_instances, len(times), dim), complex only with ``log_measure``; the
     index of each instance's first sample outside the study box (or
     non-finite), -1 if none; and the integrator's ``OdeStats``.  An instance
-    is frozen at the end of the accepted step that leaves the box.
+    is frozen at the end of the accepted step that leaves the box: a
+    component of Re v or of Im v beyond the half-width.
     """
     dtype = complex if log_measure else float
     pos0 = np.asarray(pos0, dtype=dtype)
@@ -420,7 +421,8 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
     exit_sample = np.full(n, -1, dtype=np.int64)
 
     def outside(p):
-        return ~(np.abs(p.real) <= halfwidth).all(axis=-1)
+        # a runaway Im v leaves the box as surely as Re v does
+        return ~((np.abs(p.real) <= halfwidth) & (np.abs(p.imag) <= halfwidth)).all(axis=-1)
 
     def record(i, j, block):
         positions[:, i:j] = block

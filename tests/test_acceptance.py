@@ -37,6 +37,8 @@ from qrhd import (
 )
 from qrhd.cli import BUILTIN_CONFIGS
 
+pytestmark = pytest.mark.slow
+
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
 A2 = np.array([
     [1.0, 0.0, -1.0 / np.sqrt(2)],

@@ -1,11 +1,14 @@
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrhd import ParameterError
-from qrhd.cli import BUILTIN_CONFIGS, build_schedule, load_config, main
+import qrhd.cli
+from qrhd import EvolutionTrace, ParameterError
+from qrhd.cli import BUILTIN_CONFIGS, _write_csv, build_schedule, load_config, main
 
 SMALL_EVOLVE = {
     "experiment": "evolve",
@@ -205,3 +208,62 @@ def test_evolve_exits_3_on_stalled_solve(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "SolverError" and err["residual"] == 1e-3
+
+
+def test_import_and_scipy_free_commands_load_no_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import qrhd.cli\n"
+        "print(scipy_loaded())\n"
+        "assert qrhd.cli.main(['semiclassical', '--dim', '5', '--gammas', '1,5',\n"
+        f"    '--instances', '5', '--seed', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert qrhd.cli.main(['bound', '0.01', '1', '1', '3']) == 0\n"
+        "assert qrhd.cli.main(['geometry-check', '--kind', 'sphere', '--dim', '3']) == 0\n"
+        "print(scipy_loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "study.csv").is_file()
+
+
+def per_value_csv(header, rows):
+    """The CSV rule value by value: FLOAT_FMT for floats, str() otherwise."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+
+
+def test_write_csv_matches_the_per_value_rule(tmp_path):
+    nan = float("nan")
+    header = ["instance", "gamma", "t_star", "bound", "satisfied"]
+    columns = [[0, 1, 2, 3], [0.1, 1.0, 5.0, 1 / 3],
+               ["", 1.2345678901234567, nan, 2.0], [3.8327, nan, 1e-300, -0.0],
+               ["true", "", "excluded", "false"]]
+    _write_csv(tmp_path / "study.csv", header, columns)
+    assert (tmp_path / "study.csv").read_text() == per_value_csv(header, zip(*columns))
+    t = np.linspace(0.0, 3.0, 301)
+    ratio = np.exp(-t) * np.cos(7 * t)
+    _write_csv(tmp_path / "curve.csv", ["t", "ratio"], [t, ratio])
+    assert (tmp_path / "curve.csv").read_text() == \
+        per_value_csv(["t", "ratio"], zip(t.tolist(), ratio.tolist()))
+    _write_csv(tmp_path / "empty.csv", ["t"], [[]])
+    assert (tmp_path / "empty.csv").read_text() == "t\n"
+
+
+def test_trace_csv_matches_the_per_value_rule(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    trace = EvolutionTrace(times=np.linspace(0.0, 1.0, 5),
+                           positions=rng.standard_normal((5, 2)),
+                           norms=1.0 + 1e-13 * rng.standard_normal(5))
+    trace.positions[2, 1] = np.nan
+    monkeypatch.setattr(qrhd.cli, "evolve", lambda *args, **kwargs: trace)
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9, "frame_times": []})
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rows = [(trace.times[k], *trace.positions[k], trace.norms[k]) for k in range(5)]
+    assert (tmp_path / "out" / "south_v" / "trace.csv").read_text() == \
+        per_value_csv(["t", "x_1", "x_2", "norm"], rows)

@@ -268,10 +268,43 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
     assert calls == {"solve": 2, "factor": 2}
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import qrhd; "
-            "print('scipy.ndimage' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+@pytest.mark.parametrize("shape, sigmas", [
+    ((64, 64), (2.3, 2.3)),
+    ((128, 128), (5.6, 5.6)),
+    ((9, 9, 9), (1.1, 0.7, 2.0)),
+    ((5, 40), (0.9, 3.1)),
+    ((7, 7), (2.4, 2.4)),       # radius 10 is longer than the axis
+    ((7, 7), (0.0, 3.0)),       # the first axis is skipped
+])
+def test_gaussian_filter_is_bitwise_scipy(shape, sigmas):
+    import scipy.ndimage
+
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    ours = sys.modules["qrhd.evolve"]._gaussian_filter(f, np.array(sigmas))
+    assert np.array_equal(ours, scipy.ndimage.gaussian_filter(f, np.array(sigmas)))
+
+
+def test_bicgstab_stops_at_half_step_with_exact_preconditioner():
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
+    psi = init_state(grid, chart, "random", seed=1).values
+    dt = 0.01
+    H = stepper.hamiltonian(0.5 * dt).matrix
+    A = (sp.identity(grid.size) + 0.5j * dt * H).tocsr()
+    b = psi - 0.5j * dt * (H @ psi)
+    lu = spla.splu(A.tocsc())
+    calls = []
+
+    def precond(v):
+        calls.append(v)
+        return lu.solve(v)
+
+    # an exact preconditioner solves at the half step: one solve, no second
+    x, it, res = sys.modules["qrhd.evolve"]._bicgstab(A, b, psi, precond, 1e-12)
+    assert (len(calls), it) == (1, 1)
+    assert res <= 1e-12
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)

@@ -373,6 +373,29 @@ def test_batch_freezes_ejected_instances_and_matches_solo_runs():
             assert np.array_equal(positions[i, -1], positions[i, -2])
 
 
+def test_runaway_imaginary_part_leaves_the_box():
+    # instance 7 of the seed-42 study: with the measure term its Im v grows
+    # past the box while Re v stays inside
+    kid = np.random.SeedSequence(42).spawn(8)[7]
+    inst = RandomInstance.draw(5, np.random.default_rng(kid))
+    times = 0.01 * np.arange(8490)          # the study's horizon at gamma = 0.1
+    positions, exit_sample, stats = integrate_sphere_batch(
+        inst.initial_position[None], np.zeros((1, 4)), inst.matrix[None], times, 0.1,
+        corrections=True, log_measure=True)
+    k = exit_sample[0]
+    assert k >= 0
+    assert np.abs(positions[0, k].real).max() <= 4.0 < np.abs(positions[0, k].imag).max()
+    # it ran for ~17k accepted steps over the whole horizon before the rule
+    assert stats.accepted < 10_000
+
+
+@pytest.mark.slow
+def test_study_excludes_runaway_imaginary_part():
+    rep = run_instance_study(5, [0.1], 40, seed=42, corrections=True, log_measure=True)
+    assert rep.runs[7].excluded and rep.runs[7].t_star is None
+    assert rep.excluded_count == sum(r.excluded for r in rep.runs)
+
+
 def test_non_finite_state_raises_blow_up():
     chart = FlatChart(1, domain=(-10.0 * np.ones(1), 10.0 * np.ones(1)))
     # inverted well whose force turns NaN past x = 0.6
