@@ -220,12 +220,13 @@ def _write_csv(path, header, columns):
     """Write equal-length columns as CSV with one bulk format.
 
     Floats are written as FLOAT_FMT and anything else as str(v); numpy
-    arrays are read as Python scalars.
+    arrays are read as Python scalars, and a float array needs no scan.
     """
     cols, fmts = [], []
     for col in columns:
+        is_float_array = isinstance(col, np.ndarray) and col.dtype.kind == "f"
         col = col.tolist() if isinstance(col, np.ndarray) else list(col)
-        if all(isinstance(v, float) for v in col):
+        if is_float_array or all(isinstance(v, float) for v in col):
             fmts.append(FLOAT_FMT)
         else:
             fmts.append("%s")

@@ -381,18 +381,6 @@ class SphereStereographicChart(MetricChart):
             raise PoleSingularityError("projection evaluated at its pole")
         return x[: self.dim] / denom
 
-    def embedding_jacobian(self, chart_point):
-        """J[a, i] = d x^a / d v^i of the embedding map."""
-        v = np.asarray(chart_point, dtype=float)
-        R = self.radius
-        s = (v @ v) / R**2
-        den = 1.0 + s
-        J = np.zeros((self.ambient_dim, self.dim))
-        J[: self.dim] = 2.0 * np.eye(self.dim) / den - 4.0 * np.outer(v, v) / (R**2 * den**2)
-        JN = -4.0 * v / (R * den**2)
-        J[self.dim] = JN if self.pole == "south" else -JN
-        return J
-
 
 class CustomChart(MetricChart):
     """Chart built from a user metric callback; derivatives by differences."""

@@ -9,7 +9,9 @@ effective potential
 whose geometric corrections decay with the dissipation schedule.  The
 imaginary measure term makes the state complex; connection and inverse
 metric are evaluated at Re(position), scalar force fields are continued to
-the complex position.
+the complex position.  One adaptive integrator, Dormand-Prince 8(5,3)
+(Hairer's DOP853) with its 7th-order dense output, drives both the
+generic-chart equation and the batched sphere study.
 
 Convergence is summarized by the first time the distance ratio to the
 optimum drops below epsilon_star.  For a quadratic mode of stiffness
@@ -62,13 +64,6 @@ class Trajectory:
     times: np.ndarray
     positions: np.ndarray   # (T, dim) complex
     velocities: np.ndarray  # (T, dim) complex
-
-    def deviation_ratio(self, target, chart=None, norm="euclid"):
-        """|Re pos(t) - target| / |pos(0) - target| in the chosen norm."""
-        dev = _deviation(self.positions, target, chart, norm)
-        if dev[0] == 0:
-            raise ParameterError("trajectory starts exactly at the target")
-        return dev / dev[0]
 
 
 def _deviation(positions, target, chart=None, norm="euclid"):
@@ -149,29 +144,82 @@ def effective_potential_gradient(chart, potential, point, schedule, t, mass,
 
 # -- adaptive integrator --------------------------------------------------------
 
-ODE_METHOD = "dopri5"
+ODE_METHOD = "dop853"
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 _STEP_FLOOR = 1e-12          # smallest step, relative to the integration span
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).  Row
-# i - 1 of _DP_A builds the point of stage i; the last row is the 5th-order
-# solution, whose derivative (stage 6) starts the next step.  _DP_E weights
-# the embedded error estimate, _DP_D the free 4th-order continuous extension.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array([
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# Dormand-Prince 8(5,3), Hairer's dop853.f (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10), with the values of scipy's dop853_coefficients.py (BSD-3).
+# _DP_A[i - 1] weights stages 0..i-1 into the point of stage i, taken at
+# t + _DP_C[i] h.  Stage 12 is the derivative at the 8th-order solution
+# (_DP_A[11]) and starts the next step; stages 13-15 exist only for the
+# 7th-order dense output, whose higher coefficients are _DP_D.  _DP_E5 and
+# _DP_E3 weight the 5th- and 3rd-order error estimates.
+_DP_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+_DP_A = [np.array(row) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+)]
+_DP_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294])
+_DP_E3 = _DP_A[11].copy()                # b minus Hairer's bhh1..bhh3
+_DP_E3[0] -= 0.2440944881889764
+_DP_E3[8] -= 0.7338466882816118
+_DP_E3[11] -= 0.022058823529411766
+_DP_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727,
+     -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
 ])
-_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
-_DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
-                  -10690763975 / 1880347072, 701980252875 / 199316789632,
-                  -1453857185 / 822651844, 69997945 / 29380423])
 
 
 @dataclass
@@ -184,14 +232,16 @@ class OdeStats:
 
 
 class DormandPrince:
-    """Adaptive Dormand-Prince 5(4) steps for y' = f(t, y), y of shape (rows, n).
+    """Adaptive Dormand-Prince 8(5,3) steps for y' = f(t, y), y of shape (rows, n).
 
-    Error control is per row: a step is accepted when every live row's RMS
-    of err / (ODE_ATOL + ODE_RTOL |y|) is at most one, so each trajectory of a batch
-    meets the tolerance however many rows share the step.  ``freeze`` stops
-    rows for good: their derivative is zero from then on and they leave the
-    error norm.  A non-finite error norm, or a step below the floor, raises
-    ``BlowUpError``.
+    Error control is per row: a step is accepted when every live row's
+    combined 5th/3rd-order error norm (Hairer's, with the RMS of
+    err / (ODE_ATOL + ODE_RTOL |y|)) is at most one, so each trajectory of a
+    batch meets the tolerance however many rows share the step.  ``freeze``
+    stops rows for good: their derivative is zero from then on and they
+    leave the error norm.  A non-finite error norm, or a step below the
+    floor, raises ``BlowUpError``.  A step costs 12 evaluations per attempt,
+    and 3 more if its dense output is asked for.
     """
 
     def __init__(self, f, t0, y0, t_end):
@@ -201,7 +251,7 @@ class DormandPrince:
         self.h = None
         self.frozen = np.zeros(y0.shape[0], dtype=bool)
         self.stats = OdeStats()
-        self.k = np.empty((7,) + y0.shape, dtype=y0.dtype)
+        self.k = np.empty((16,) + y0.shape, dtype=y0.dtype)
         self.f0 = self._eval(self.t, y0)
 
     def freeze(self, rows):
@@ -215,70 +265,93 @@ class DormandPrince:
             dy[self.frozen] = 0
         return dy
 
+    def _stages(self, t, y, h, stages):
+        """Evaluate ``stages`` of the step (t, y, h) into ``self.k``."""
+        flat = self.k.reshape(16, -1)
+        for i in stages:
+            point = y + h * (_DP_A[i - 1] @ flat[:i]).reshape(y.shape)
+            self.k[i] = self._eval(t + _DP_C[i] * h, point)
+        return point
+
     def _norm(self, x, scale):
         with np.errstate(invalid="ignore"):     # non-finite norms raise in step()
             rms = np.sqrt(np.mean(np.abs(x / scale) ** 2, axis=1))
         rms[self.frozen] = 0.0
         return float(rms.max())
 
+    def _error_norm(self, h, scale):
+        """Largest live-row norm of the combined 5th/3rd-order error estimate."""
+        flat = self.k[:12].reshape(12, -1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e5 = np.sum(np.abs((_DP_E5 @ flat).reshape(scale.shape) / scale) ** 2, axis=1)
+            e3 = np.sum(np.abs((_DP_E3 @ flat).reshape(scale.shape) / scale) ** 2, axis=1)
+            den = e5 + 0.01 * e3
+            norm = h * e5 / np.sqrt(den * scale.shape[1])
+        # only an exact zero estimate reads as zero: a NaN must reach step()
+        norm[(den == 0) | self.frozen] = 0.0
+        return float(norm.max())
+
     def _initial_step(self):
-        """Hairer's starting-step heuristic for a 5th-order method."""
+        """Hairer's starting-step heuristic for an 8th-order method."""
         scale = ODE_ATOL + ODE_RTOL * np.abs(self.y)
         d0, d1 = self._norm(self.y, scale), self._norm(self.f0, scale)
         h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
         f1 = self._eval(self.t + h0, self.y + h0 * self.f0)
         dmax = max(d1, self._norm(f1 - self.f0, scale) / h0)
-        h1 = max(1e-6, 1e-3 * h0) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
+        h1 = max(1e-6, 1e-3 * h0) if dmax <= 1e-15 else (0.01 / dmax) ** 0.125
         return min(100 * h0, h1)
 
     def step(self):
         """Take one accepted step; its start stays in ``t_prev``, ``y_prev``."""
-        t, y, k = self.t, self.y, self.k
-        flat = k.reshape(7, -1)
-        k[0] = self.f0
+        t, y = self.t, self.y
+        self.k[0] = self.f0
         h = self.h if self.h is not None else self._initial_step()
         rejected = False
         while True:
             last = t + h >= self.t_end
             if last:
                 h = self.t_end - t
-            for i in range(1, 7):
-                point = y + h * (_DP_A[i - 1, :i] @ flat[:i]).reshape(y.shape)
-                k[i] = self._eval(t + _DP_C[i] * h, point)
-            err = h * (_DP_E @ flat).reshape(y.shape)
+            point = self._stages(t, y, h, range(1, 13))
             scale = ODE_ATOL + ODE_RTOL * np.maximum(np.abs(y), np.abs(point))
-            err_norm = self._norm(err, scale)
+            err_norm = self._error_norm(h, scale)
             if not np.isfinite(err_norm):
                 raise BlowUpError(f"state became non-finite near t={t + h}")
             if err_norm <= 1.0:
                 break
             self.stats.rejected += 1
             rejected = True
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            h *= max(0.2, 0.9 * err_norm ** -0.125)
             if h < self.h_min:
                 raise BlowUpError(f"step size {h:.3e} fell below the floor at t={t}")
         self.stats.accepted += 1
-        grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
+        grow = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.125)
         self.h = h * max(0.2, min(grow, 1.0) if rejected else grow)
-        self.t_prev, self.y_prev = t, y
+        self.t_prev, self.y_prev, self.h_prev = t, y, h
         self.t, self.y = (self.t_end if last else t + h), point
-        self.f0 = k[6].copy()
+        self.f0 = self.k[12].copy()
 
     def dense(self, times, cols=slice(None)):
-        """Continuous extension of the last step at ``times`` in [t_prev, t].
+        """7th-order continuous extension of the last step at ``times`` in [t_prev, t].
 
-        Returns an array of shape (rows, len(times), columns).
+        Returns an array of shape (rows, len(times), columns).  The three
+        extra stages are evaluated only when ``times`` is not empty.
         """
-        y0, k = self.y_prev[:, cols], self.k[:, :, cols]
-        h = self.t - self.t_prev
+        times = np.asarray(times, dtype=float)
+        y0 = self.y_prev[:, cols]
+        if times.size == 0:
+            return np.empty((y0.shape[0], 0, y0.shape[1]), dtype=y0.dtype)
+        h = self.h_prev
+        self._stages(self.t_prev, self.y_prev, h, range(13, 16))
+        k = self.k[:, :, cols]
         dy = self.y[:, cols] - y0
-        r3 = h * k[0] - dy
-        r4 = dy - h * k[6] - r3
-        r5 = h * np.tensordot(_DP_D, k, axes=1)
-        s = ((np.asarray(times) - self.t_prev) / h)[None, :, None]
-        s1 = 1.0 - s
-        return y0[:, None] + s * (dy[:, None] + s1 * (
-            r3[:, None] + s * (r4[:, None] + s1 * r5[:, None])))
+        r = h * np.tensordot(_DP_D, k, axes=1)
+        coeffs = (dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]), *r)
+        # y0 + s (c0 + (1 - s) (c1 + s (c2 + (1 - s) (c3 + ...)))), innermost first
+        s = ((times - self.t_prev) / h)[None, :, None]
+        out = 0.0
+        for n, c in enumerate(reversed(coeffs)):
+            out = (out + c[:, None]) * (s if n % 2 == 0 else 1.0 - s)
+        return y0[:, None] + out
 
     def samples(self, times, cols=slice(None)):
         """Step to ``times[-1]``, starting at ``times[0]``.
@@ -301,9 +374,9 @@ def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
                   dt_ode=None, record_stride=1, mass=1.0):
     """Adaptive integration of the damped geodesic-descent equation.
 
-    Dormand-Prince 5(4) at ``ODE_RTOL``/``ODE_ATOL``; the trajectory is
-    sampled by dense output at the multiples of ``dt_ode * record_stride``
-    below ``t_end`` and at ``t_end``.  The state is complex; Gamma and the
+    Dormand-Prince 8(5,3) at ``ODE_RTOL``/``ODE_ATOL``; the trajectory is
+    sampled by the 7th-order dense output at the multiples of
+    ``dt_ode * record_stride`` below ``t_end`` and at ``t_end``.  The state is complex; Gamma and the
     inverse metric are evaluated at the real part of the position.  Raises
     ``DomainExitError`` (carrying the state at the start of the accepted
     step that left the chart box) and ``BlowUpError`` on non-finite state.

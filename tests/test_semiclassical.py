@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate._ivp import dop853_coefficients as dop853
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,13 @@ from qrhd import (
     run_instance_study,
     sphere_quadratic_potential,
 )
+from qrhd import semiclassical as sc
 from qrhd.discretize import PotentialField
-from qrhd.semiclassical import integrate_sphere_batch, make_sphere_study_problem
+from qrhd.semiclassical import (
+    DormandPrince,
+    integrate_sphere_batch,
+    make_sphere_study_problem,
+)
 
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
 
@@ -329,14 +335,25 @@ def test_random_instance_structure():
     assert np.array_equal(inst.initial_position, again.initial_position)
 
 
-def test_batched_complex_path_matches_generic():
+def test_batched_complex_path_matches_generic(monkeypatch):
     inst = RandomInstance.draw(5, np.random.default_rng(3))
     times = 0.01 * np.arange(301)
+    dense_used = []
+    dense = DormandPrince.dense
+
+    def counting_dense(self, ts, cols=slice(None)):
+        dense_used.append(len(ts) > 0)
+        return dense(self, ts, cols)
+
+    monkeypatch.setattr(DormandPrince, "dense", counting_dense)
     positions, exit_sample, stats = integrate_sphere_batch(
         inst.initial_position[None], np.zeros((1, 4)), inst.matrix[None], times, 1.0,
         corrections=True, log_measure=True)
     assert positions.dtype == complex and exit_sample[0] == -1
-    assert stats.evaluations == 6 * (stats.accepted + stats.rejected) + 2
+    # 12 per attempt, 3 extra stages per step whose dense output is used, 2 to start
+    assert len(dense_used) == stats.accepted
+    assert stats.evaluations == (12 * (stats.accepted + stats.rejected)
+                                 + 3 * sum(dense_used) + 2)
     chart, pot = make_sphere_study_problem(inst)
     sched = Schedule.exponential(gamma=1.0, eta=1.0, t_end=3.0, dt=1.0)
     traj = integrate_eom(chart, pot, sched, SemiclassicalState(inst.initial_position,
@@ -415,6 +432,26 @@ def test_study_smoke_and_determinism():
     assert rep1.bound == pytest.approx(3.8327, abs=1e-3)
     for r1, r2 in zip(rep1.runs, rep2.runs):
         assert np.array_equal(r1.ratios, r2.ratios)
+
+
+def test_dop853_coefficients_are_hairers():
+    assert np.array_equal(sc._DP_C, dop853.C)
+    for i, row in enumerate(sc._DP_A, start=1):
+        assert np.array_equal(row, dop853.A[i, :i])
+    assert np.array_equal(sc._DP_E5, dop853.E5[:12]) and not dop853.E5[12]
+    assert np.array_equal(sc._DP_E3, dop853.E3[:12]) and not dop853.E3[12]
+    assert np.array_equal(sc._DP_D, dop853.D)
+
+
+def test_dop853_tracks_tight_reference(monkeypatch):
+    # weak damping oscillates for the whole ~85 time-unit horizon
+    rep = run_instance_study(5, [0.1], 10, seed=5)
+    monkeypatch.setattr(sc, "ODE_RTOL", 1e-13)
+    monkeypatch.setattr(sc, "ODE_ATOL", 1e-15)
+    ref = run_instance_study(5, [0.1], 10, seed=5)
+    assert [r.satisfied for r in rep.runs] == [r.satisfied for r in ref.runs]
+    assert all(r.t_star is not None for r in ref.runs)
+    assert max(abs(a.t_star - b.t_star) for a, b in zip(rep.runs, ref.runs)) < 1e-8
 
 
 def test_study_converges_below_epsilon():
