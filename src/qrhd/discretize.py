@@ -137,8 +137,10 @@ class SparseOperator:
 class PotentialField:
     """Scalar potential with optional analytic gradient and cached node values.
 
-    ``fn`` takes one point; the built-in constructors below pass ``fn``s that
-    also take an ``(..., dim)`` stack, so ``node_values`` makes one call.
+    ``fn`` takes one point; the built-in constructors below pass ``fn``s and
+    gradients that also take an ``(..., dim)`` stack, so ``node_values`` and
+    ``gradient_at`` on an ``(n, dim)`` stack make one call.  Other callbacks
+    are called point by point.
     """
 
     fn: object
@@ -154,6 +156,8 @@ class PotentialField:
 
     def gradient_at(self, point, step=None):
         p = np.asarray(point)
+        if p.ndim == 2 and not self._stacked:
+            return np.array([self.gradient_at(q, step) for q in p])
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(p))
         h = 1e-6 if step is None else step
@@ -190,7 +194,7 @@ def quadratic_potential(matrix, mass):
         return 0.5 * mass * np.sum(x * (x @ A), axis=-1)
 
     def grad(x):
-        return mass * (A @ x)
+        return mass * (x @ A.T)
 
     pot = PotentialField(value, grad)
     pot._stacked = True
@@ -198,13 +202,19 @@ def quadratic_potential(matrix, mass):
 
 
 def sphere_quadratic_potential(matrix, mass, chart):
-    """Ambient quadratic V(x) = (mass/2) x^T A x pulled back to a sphere chart."""
+    """Ambient quadratic V(x) = (mass/2) x^T A x pulled back to a sphere chart.
+
+    ``matrix`` is one A of shape (N, N) or a stack (n, N, N), one per row of
+    the ``(n, N - 1)`` chart points it is then evaluated at.  The gradient is
+    the chain rule through the embedding x(v), continued to complex v.
+    """
     A = np.asarray(matrix, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-12):
+    if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
         raise ParameterError("quadratic potential matrix must be symmetric")
 
     R = chart.radius
     sign = 1.0 if chart.pole == "south" else -1.0
+    mA = mass * A
 
     def embed(v):
         s = np.sum(v**2, axis=-1, keepdims=True) / R**2
@@ -212,18 +222,22 @@ def sphere_quadratic_potential(matrix, mass, chart):
 
     def value(v):
         x = embed(np.asarray(v))
-        return 0.5 * mass * np.sum(x * (x @ A), axis=-1)
+        xa = x @ A if A.ndim == 2 else (x[..., None, :] @ A)[..., 0, :]
+        return 0.5 * mass * np.sum(x * xa, axis=-1)
 
     def grad(v):
         v = np.asarray(v)
-        s = (v @ v) / R**2
+        d = v.shape[-1]
+        s = np.einsum('...i,...i->...', v, v) / R**2
         den = 1.0 + s
-        x = embed(v)
-        ax = mass * (A @ x)
-        # J[a, i] = d x^a / d v^i
-        Jtop = 2.0 * np.eye(v.size, dtype=v.dtype) / den - 4.0 * np.multiply.outer(v, v) / (R**2 * den**2)
-        Jlast = -sign * 4.0 * v / (R * den**2)
-        return Jtop.T @ ax[:-1] + Jlast * ax[-1]
+        x = np.concatenate([(2.0 / den)[..., None] * v,
+                            (sign * R * (1.0 - s) / den)[..., None]], axis=-1)
+        ax = np.matmul(mA, x[..., None])[..., 0]
+        # d x^i / d v^j = 2 delta_ij / den - 4 v^i v^j / (R den)^2 for i < d;
+        # d x^d / d v^j = -sign 4 v^j / (R den^2)
+        radial = np.einsum('...i,...i->...', v, ax[..., :d]) / R + sign * ax[..., d]
+        return ((2.0 / den)[..., None] * ax[..., :d]
+                - (4.0 * radial / (R * den * den))[..., None] * v)
 
     pot = PotentialField(value, grad)
     pot._stacked = True

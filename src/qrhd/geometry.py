@@ -41,7 +41,9 @@ class MetricChart:
     Subclasses must implement ``metric_at``.  Every derived quantity has a
     finite-difference default here, so a chart defined by a bare metric
     callback still provides Christoffel symbols, curvature and the quantum
-    corrections (at reduced accuracy).
+    corrections (at reduced accuracy).  The gradients of the corrections and
+    of log sqrt(g) that the semiclassical equation continues to complex
+    points exist only on charts with closed forms.
     """
 
     def __init__(self, dim, domain=None):
@@ -169,39 +171,32 @@ class MetricChart:
         out = np.array([quantum_corrections(self, p, mass) for p in points])
         return out[:, 0], out[:, 1]
 
+    # -- terms of the semiclassical equation over an (n, dim) stack ---------
+    # The connection and the inverse metric are taken at the points as given
+    # (the integrator passes Re p); the two gradients are continued to
+    # complex points, so only charts with closed forms provide them.
 
-class FlatChart(MetricChart):
-    """Euclidean metric; every geometric quantity vanishes identically."""
+    def geodesic_term_many(self, points, velocities):
+        """Gamma^i_jk(p) v^j v^k per row."""
+        return np.array([np.einsum('ijk,j,k->i', self.christoffel_at(p), v, v)
+                         for p, v in zip(points, velocities)])
 
-    def metric_at(self, point):
-        return np.eye(self.dim)
+    def inverse_metric_apply_many(self, points, covectors):
+        """g^{ij}(p) w_j per row."""
+        return np.array([self.inverse_metric_at(p) @ w for p, w in zip(points, covectors)])
 
-    def inverse_metric_at(self, point):
-        return np.eye(self.dim)
+    def correction_gradient_many(self, points, mass):
+        """Gradient of delta_v + delta_v_prime per row."""
+        raise ParameterError(
+            f"{type(self).__name__} has no closed-form gradient of the ordering "
+            "corrections: differencing their nested finite differences gives noise "
+            "that stalls the adaptive integrator; integrate with corrections off")
 
-    def sqrt_det_at(self, point):
-        return 1.0
-
-    def christoffel_at(self, point):
-        return np.zeros((self.dim,) * 3)
-
-    def christoffel_trace_at(self, point):
-        return np.zeros(self.dim)
-
-    def christoffel_trace_grad_at(self, point):
-        return np.zeros((self.dim, self.dim))
-
-    def ricci_scalar_at(self, point):
-        return 0.0
-
-    def sqrt_det_many(self, points):
-        return np.ones(len(points))
-
-    def volume_inverse_metric_many(self, points):
-        return np.broadcast_to(np.eye(self.dim), (len(points), self.dim, self.dim)).copy()
-
-    def quantum_corrections_many(self, points, mass):
-        return np.zeros(len(points)), np.zeros(len(points))
+    def log_sqrt_g_gradient_many(self, points):
+        """Gradient of log sqrt(g) per row."""
+        raise ParameterError(
+            f"{type(self).__name__} has no closed-form log sqrt(g) to continue to "
+            "complex points; integrate with corrections off")
 
 
 class ConstantChart(MetricChart):
@@ -252,6 +247,26 @@ class ConstantChart(MetricChart):
 
     def quantum_corrections_many(self, points, mass):
         return np.zeros(len(points)), np.zeros(len(points))
+
+    def geodesic_term_many(self, points, velocities):
+        return np.zeros_like(velocities)
+
+    def inverse_metric_apply_many(self, points, covectors):
+        return covectors @ self._ginv.T
+
+    def correction_gradient_many(self, points, mass):
+        return np.zeros_like(points)
+
+    def log_sqrt_g_gradient_many(self, points):
+        return np.zeros_like(points)
+
+
+class FlatChart(ConstantChart):
+    """Euclidean metric: the constant chart with G = I, so every geometric
+    quantity vanishes identically."""
+
+    def __init__(self, dim, domain=None):
+        super().__init__(np.eye(dim), domain)
 
 
 class SphereStereographicChart(MetricChart):
@@ -350,6 +365,28 @@ class SphereStereographicChart(MetricChart):
         delta_v = (-d * (d - 1) + (2 - d) * s) / (8.0 * mR2)
         delta_v_prime = d * (-d + (2 - d) * s) / (16.0 * mR2)
         return delta_v, delta_v_prime
+
+    def _s_many(self, points):
+        return np.einsum('...i,...i->...', points, points) / self.radius**2
+
+    def geodesic_term_many(self, points, velocities):
+        # Gamma^i_jk v^j v^k = (b.v) v^i - |v|^2 b^i / 2 with b = grad xi
+        b = (-4.0 / (self.radius**2 * (1.0 + self._s_many(points))))[..., None] * points
+        return (np.einsum('...i,...i->...', b, velocities)[..., None] * velocities
+                - 0.5 * np.einsum('...i,...i->...', velocities, velocities)[..., None] * b)
+
+    def inverse_metric_apply_many(self, points, covectors):
+        return ((0.5 * (1.0 + self._s_many(points))) ** 2)[..., None] * covectors
+
+    def correction_gradient_many(self, points, mass):
+        # delta_v + delta_v_prime = (-6 d^2 + 4 d + (8 - 2 d^2) s) / (32 m R^2)
+        d = self.dim
+        return ((4.0 - d * d) / (8.0 * mass * self.radius**4)) * points
+
+    def log_sqrt_g_gradient_many(self, points):
+        # log sqrt(g) = d xi / 2
+        s = self._s_many(points)
+        return (-2.0 * self.dim / (self.radius**2 * (1.0 + s)))[..., None] * points
 
     # -- embedding --------------------------------------------------------
 

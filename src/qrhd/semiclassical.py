@@ -9,9 +9,13 @@ effective potential
 whose geometric corrections decay with the dissipation schedule.  The
 imaginary measure term makes the state complex; connection and inverse
 metric are evaluated at Re(position), scalar force fields are continued to
-the complex position.  One adaptive integrator, Dormand-Prince 8(5,3)
-(Hairer's DOP853) with its 7th-order dense output, drives both the
-generic-chart equation and the batched sphere study.
+the complex position.  One right-hand side, built from the chart's batched
+geometry over an (n, dim) stack and a ``Schedule``, serves both
+``integrate_eom`` (one trajectory on any chart) and the batched sphere
+study; the correction terms need a chart with closed forms for their
+gradients (flat, constant, sphere).  One adaptive integrator,
+Dormand-Prince 8(5,3) (Hairer's DOP853) with its 7th-order dense output,
+drives both.
 
 Convergence is summarized by the first time the distance ratio to the
 optimum drops below epsilon_star.  For a quadratic mode of stiffness
@@ -38,12 +42,7 @@ from .errors import (
     ParameterError,
     ScheduleError,
 )
-from .geometry import (
-    ConstantChart,
-    FlatChart,
-    SphereStereographicChart,
-    quantum_corrections,
-)
+from .geometry import SphereStereographicChart
 
 
 @dataclass
@@ -81,65 +80,61 @@ def _deviation(positions, target, chart=None, norm="euclid"):
 
 # -- effective potential -----------------------------------------------------
 
-def _sphere_ordering_correction(v, R, d, mass):
-    """dV + dV' on the conformal sphere chart, analytic in v (complex ok)."""
-    s = np.sum(np.asarray(v) ** 2) / R**2
-    return (-6.0 * d * d + 4.0 * d + (8.0 - 2.0 * d * d) * s) / (32.0 * mass * R**2)
-
-
-def ordering_correction_field(chart, mass):
-    """Callable v -> dV(v) + dV'(v) for the chart; complex-safe for built-ins."""
-    if isinstance(chart, (FlatChart, ConstantChart)):
-        return lambda v: 0.0
-    if isinstance(chart, SphereStereographicChart):
-        R, d = chart.radius, chart.dim
-        return lambda v: _sphere_ordering_correction(v, R, d, mass)
-
-    def generic(v):
-        dv, dvp = quantum_corrections(chart, np.asarray(v).real, mass)
-        return dv + dvp
-
-    return generic
-
-
-def _log_sqrt_g_gradient(chart, point):
-    """grad log sqrt(g) = Christoffel trace; complex-continued for the sphere."""
-    if isinstance(chart, (FlatChart, ConstantChart)):
-        return np.zeros(chart.dim)
-    if isinstance(chart, SphereStereographicChart):
-        v = np.asarray(point)
-        s = np.sum(v**2) / chart.radius**2
-        return 0.5 * chart.dim * (-4.0 * v / (chart.radius**2 * (1.0 + s)))
-    return chart.christoffel_trace_at(np.asarray(point).real)
-
-
-def effective_potential_gradient(chart, potential, point, schedule, t, mass,
-                                 corrections=True):
-    """Gradient of V_eff at a (possibly complex) chart point.
-
-    With ``corrections`` off this is just grad V.  With corrections on, the
-    ordering-correction term is differentiated by central differences on the
-    analytic correction field, and the measure term contributes
-    -i/(eta a) grad log sqrt(g).
-    """
-    pt = np.atleast_1d(np.asarray(point))
-    grad = np.asarray(potential.gradient_at(pt), dtype=complex)
-    if not corrections:
+def _effective_gradient(chart, potential, p, schedule, t, mass, corrections, log_measure):
+    """grad V_eff over an (n, dim) stack; the two correction terms by flag."""
+    grad = potential.gradient_at(p)
+    if not (corrections or log_measure):
         return grad
     eta = schedule.eta_at(t)
     if eta <= 0:
         raise ScheduleError("corrections require eta(t) > 0")
     a = schedule.a_at(t)
-    corr = ordering_correction_field(chart, mass)
-    cgrad = np.zeros(chart.dim, dtype=complex)
-    for i in range(chart.dim):
-        h = chart.fd_step[i]
-        ep = pt.astype(complex).copy(); ep[i] += h
-        em = pt.astype(complex).copy(); em[i] -= h
-        cgrad[i] = (corr(ep) - corr(em)) / (2.0 * h)
-    grad = grad + cgrad / (eta * a * a)
-    grad = grad - 1j * np.asarray(_log_sqrt_g_gradient(chart, pt)) / (eta * a)
+    if corrections:
+        grad = grad + chart.correction_gradient_many(p, mass) / (eta * a * a)
+    if log_measure:
+        grad = grad - 1j * chart.log_sqrt_g_gradient_many(p) / (eta * a)
     return grad
+
+
+def effective_potential_gradient(chart, potential, point, schedule, t, mass,
+                                 corrections=True):
+    """Gradient of V_eff at a (possibly complex) chart point or (n, dim) stack.
+
+    With ``corrections`` off this is just grad V.  With corrections on it
+    adds the chart's gradient of the ordering correction dV + dV' over
+    eta a^2 and the measure term -i/(eta a) grad log sqrt(g), both continued
+    to complex points; a chart without closed forms for them raises
+    ``ParameterError``.
+    """
+    p = np.asarray(point)
+    grad = _effective_gradient(chart, potential, np.atleast_2d(p), schedule, t, mass,
+                               corrections, corrections)
+    return grad if p.ndim == 2 else grad[0]
+
+
+def _eom_rhs(chart, potential, schedule, mass, corrections, log_measure):
+    """Right-hand side of the damped geodesic-descent equation on y = (p, v).
+
+    y is an (n, 2 dim) stack and
+
+        v' = -(Gamma(Re p)[v, v] + 2 gamma v + (eta / m) g^{-1}(Re p) grad V_eff(p)).
+
+    The state stays real unless ``log_measure`` adds the imaginary term.
+    """
+    dim, gamma = chart.dim, schedule.gamma
+
+    def rhs(t, y):
+        p, v = y[:, :dim], y[:, dim:]
+        w = p.real
+        grad = _effective_gradient(chart, potential, p, schedule, t, mass,
+                                   corrections, log_measure)
+        out = np.empty_like(y)
+        out[:, :dim] = v
+        out[:, dim:] = -(chart.geodesic_term_many(w, v) + 2.0 * gamma * v
+                         + (schedule.eta_at(t) / mass) * chart.inverse_metric_apply_many(w, grad))
+        return out
+
+    return rhs
 
 
 # -- adaptive integrator --------------------------------------------------------
@@ -389,20 +384,10 @@ def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
     if not chart.contains(pos.real):
         raise DomainError("initial position outside the chart domain")
     dim = pos.size
-
-    def rhs(t, y):
-        p, v = y[0, :dim], y[0, dim:]
-        w = p.real
-        gam_term = np.einsum('ijk,j,k->i', chart.christoffel_at(w), v, v)
-        grad = effective_potential_gradient(chart, potential, p, schedule,
-                                            t, mass, corrections)
-        acc = -(gam_term + 2.0 * gamma * v
-                + (schedule.eta_at(t) / mass) * (chart.inverse_metric_at(w) @ grad))
-        return np.concatenate([v, acc])[None]
-
     n_steps = int(np.ceil(t_end / dt_ode - 1e-12))
     times = np.append(dt_ode * record_stride * np.arange(-(-n_steps // record_stride)),
                       float(t_end))
+    rhs = _eom_rhs(chart, potential, schedule, mass, corrections, corrections)
     solver = DormandPrince(rhs, 0.0, np.concatenate([pos, vel])[None], times[-1])
     states = np.empty((times.size, 2 * dim), dtype=complex)
     states[0] = solver.y[0]
@@ -418,61 +403,12 @@ def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
     return Trajectory(times, states[:, :dim], states[:, dim:])
 
 
-def _sphere_rhs(A, R, mass, eta, gamma, corrections, log_measure):
-    """Batched right-hand side on y = (v, v'), shape (n, 2d), south chart.
-
-    Closed-form conformal-chart geometry: metric exp(xi) I with
-    xi = 2 log(2/(1+s)), s = |v|^2/R^2.  Connection and e^{-xi} are
-    evaluated at Re(v); the pulled-back quadratic V(v) = (m/2) x^T A x is
-    continued to complex v.  The ordering correction for this chart is the
-    linear function of s
-
-        dV + dV' = (-6 d^2 + 4 d + (8 - 2 d^2) s) / (32 m R^2),
-
-    so its gradient is (4 - d^2) v / (8 m R^4).  With ``log_measure`` the
-    state is complex; otherwise it stays real.
-    """
-    d = A.shape[1] - 1
-    R2 = R * R
-    mA = mass * A
-    slope = (4.0 - d * d) / (8.0 * mass * R2 * R2)
-
-    def rhs(t, y):
-        pos, vel = y[:, :d], y[:, d:]
-        w = pos.real
-        sw = np.einsum('ni,ni->n', w, w) / R2
-        b = (-4.0 / (R2 * (1.0 + sw)))[:, None] * w       # grad xi at Re(v)
-        einv = (0.5 * (1.0 + sw)) ** 2                      # e^{-xi} at Re(v)
-        gam_term = (np.einsum('ni,ni->n', b, vel)[:, None] * vel
-                    - 0.5 * np.einsum('ni,ni->n', vel, vel)[:, None] * b)
-
-        sc = np.einsum('ni,ni->n', pos, pos) / R2 if log_measure else sw
-        den = 1.0 + sc
-        x = np.empty((pos.shape[0], d + 1), dtype=y.dtype)
-        x[:, :d] = (2.0 / den)[:, None] * pos
-        x[:, d] = R * (1.0 - sc) / den
-        ax = np.matmul(mA, x[:, :, None])[:, :, 0]
-        axtop = ax[:, :d]
-        radial = np.einsum('ni,ni->n', pos, axtop) / R + ax[:, d]
-        grad = (2.0 / den)[:, None] * axtop - (4.0 * radial / (R * den * den))[:, None] * pos
-
-        a_t = np.exp(2.0 * gamma * t)
-        if corrections:
-            grad += (slope / (eta * a_t * a_t)) * pos
-        if log_measure:
-            grad += ((2j * d / (eta * a_t * R2)) / den)[:, None] * pos
-
-        out = np.empty_like(y)
-        out[:, :d] = vel
-        out[:, d:] = -(gam_term + 2.0 * gamma * vel + (eta / mass) * einv[:, None] * grad)
-        return out
-
-    return rhs
-
-
 def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0,
                            corrections=False, log_measure=False):
     """Integrate a batch of south-chart sphere trajectories, sampled at ``times``.
+
+    Row i poses the quadratic A[i] on the chart of ``make_sphere_study_problem``
+    under the schedule a(t) = exp(2 gamma t), eta(t) = eta.
 
     Returns (positions, exit_sample, stats): positions of shape
     (n_instances, len(times), dim), complex only with ``log_measure``; the
@@ -487,8 +423,9 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
     halfwidth = STUDY_DOMAIN_HALFWIDTH * R
     times = np.asarray(times, dtype=float)
     y0 = np.concatenate([pos0, np.asarray(vel0, dtype=dtype)], axis=1)
-    rhs = _sphere_rhs(np.asarray(A, dtype=float), float(R), float(mass), float(eta),
-                      float(gamma), corrections, log_measure)
+    chart, potential = make_sphere_study_problem(A, R, mass)
+    rhs = _eom_rhs(chart, potential, Schedule.exponential(gamma, eta), mass,
+                   corrections, log_measure)
     solver = DormandPrince(rhs, times[0], y0, times[-1])
     positions = np.empty((n, times.size, d), dtype=dtype)
     exit_sample = np.full(n, -1, dtype=np.int64)
@@ -759,11 +696,14 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
 
 
 def make_sphere_study_problem(instance, radius=1.0, mass=1.0):
-    """Chart and potential matching one study instance (for cross-checks)."""
-    chart = SphereStereographicChart(
-        instance.dim, radius, pole="south",
-        domain=(-STUDY_DOMAIN_HALFWIDTH * radius * np.ones(instance.dim - 1),
-                STUDY_DOMAIN_HALFWIDTH * radius * np.ones(instance.dim - 1)),
-    )
-    potential = sphere_quadratic_potential(instance.matrix, mass, chart)
-    return chart, potential
+    """Chart and potential of the study: the south chart on the study box.
+
+    ``instance`` is a ``RandomInstance`` or its matrix; a stack of matrices
+    of shape (n, N, N) poses n instances at once, one per row of the
+    ``(n, N - 1)`` points the potential is then evaluated at.
+    """
+    A = np.asarray(getattr(instance, "matrix", instance), dtype=float)
+    dim = A.shape[-1] - 1
+    box = STUDY_DOMAIN_HALFWIDTH * radius * np.ones(dim)
+    chart = SphereStereographicChart(A.shape[-1], radius, pole="south", domain=(-box, box))
+    return chart, sphere_quadratic_potential(A, mass, chart)

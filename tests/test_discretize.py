@@ -157,6 +157,27 @@ def test_hamiltonian_pure_kinetic_and_flat_demo_combination():
     assert abs(H.matrix - expected).max() < 1e-14
 
 
+@pytest.mark.parametrize("pole", ["south", "north"])
+def test_stacked_sphere_potential_matches_single_instances(pole):
+    rng = np.random.default_rng(21)
+    chart = SphereStereographicChart(4, 1.3, pole=pole)
+    G = rng.standard_normal((6, 4, 4))
+    A = G + np.swapaxes(G, 1, 2)
+    pts = rng.uniform(-1.2, 1.2, (6, 3))
+    stacked = sphere_quadratic_potential(A, 0.8, chart)
+    singles = [sphere_quadratic_potential(a, 0.8, chart) for a in A]
+    for p in (pts, pts + 0.3j * rng.standard_normal(pts.shape)):
+        grads = np.array([pot.gradient_at(q) for pot, q in zip(singles, p)])
+        assert np.abs(stacked.gradient_at(p) - grads).max() <= 1e-13 * np.abs(grads).max()
+        values = np.array([pot(q) for pot, q in zip(singles, p)])
+        assert np.abs(stacked(p) - values).max() <= 1e-13 * np.abs(values).max()
+    # the chain rule through the embedding, against differences of the value
+    h = 1e-6
+    for pot, q in zip(singles, pts):
+        fd = [(pot(q + h * e) - pot(q - h * e)) / (2 * h) for e in np.eye(3)]
+        assert np.abs(pot.gradient_at(q) - fd).max() < 1e-6
+
+
 def test_hamiltonian_weyl_correction_flag():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 9)

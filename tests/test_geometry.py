@@ -190,13 +190,57 @@ def test_quantum_corrections_stack_is_exactly_zero_on_flat_and_constant(chart):
 
 @pytest.mark.parametrize("ambient, radius", [(3, 1.0), (4, 2.0), (6, 0.5)])
 def test_quantum_corrections_stack_sums_to_semiclassical_correction(ambient, radius):
-    from qrhd.semiclassical import _sphere_ordering_correction
-
+    # dV + dV' on the conformal sphere chart, linear in s = |v|^2 / R^2
     chart = SphereStereographicChart(ambient, radius, pole="north")
     pts = interior_points(chart, 20, seed=4)
     dv, dvp = quantum_corrections(chart, pts, 1.3)
-    ref = [_sphere_ordering_correction(p, radius, chart.dim, 1.3) for p in pts]
+    d, s = chart.dim, np.sum(pts**2, axis=1) / radius**2
+    ref = (-6.0 * d * d + 4.0 * d + (8.0 - 2.0 * d * d) * s) / (32.0 * 1.3 * radius**2)
     assert np.abs(dv + dvp - ref).max() <= 1e-13
+
+
+CUSTOM2 = CustomChart(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3 * x[1]],
+                                             [0.3 * x[1], 2.0 + np.sin(x[0])]]))
+
+
+@pytest.mark.parametrize("chart", [
+    FlatChart(2),
+    ConstantChart(A1),
+    SphereStereographicChart(3, 1.0, pole="south"),
+    SphereStereographicChart(4, 2.0, pole="north"),
+    SphereStereographicChart(5, 0.7, pole="south"),
+    SphereStereographicChart(6, 1.3, pole="north"),
+    CUSTOM2,
+])
+def test_batched_equation_terms_match_pointwise(chart):
+    pts = interior_points(chart, 5 if chart is CUSTOM2 else 30, seed=11)
+    rng = np.random.default_rng(12)
+    vel, cov = rng.standard_normal((2,) + pts.shape)
+
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    ref = [np.einsum('ijk,j,k->i', chart.christoffel_at(p), v, v) for p, v in zip(pts, vel)]
+    assert close(chart.geodesic_term_many(pts, vel), np.array(ref))
+    ref = [chart.inverse_metric_at(p) @ w for p, w in zip(pts, cov)]
+    assert close(chart.inverse_metric_apply_many(pts, cov), np.array(ref))
+    if chart is CUSTOM2:
+        with pytest.raises(ParameterError):
+            chart.correction_gradient_many(pts, 1.0)
+        with pytest.raises(ParameterError):
+            chart.log_sqrt_g_gradient_many(pts)
+        return
+    ref = [chart.christoffel_trace_at(p) for p in pts]
+    assert close(chart.log_sqrt_g_gradient_many(pts), np.array(ref))
+    grad = chart.correction_gradient_many(pts, 0.9)
+    if not isinstance(chart, SphereStereographicChart):
+        assert np.array_equal(grad, np.zeros_like(pts))
+        return
+    h = 1e-5 * chart.radius
+    fd = np.stack([(sum(quantum_corrections(chart, pts + h * e, 0.9))
+                    - sum(quantum_corrections(chart, pts - h * e, 0.9))) / (2 * h)
+                   for e in np.eye(chart.dim)], axis=1)
+    assert np.abs(grad - fd).max() <= 1e-6
 
 
 def test_quantum_corrections_stack_checks_the_domain(south3):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qrhd import (
     BlowUpError,
     ConstantChart,
+    CustomChart,
     DomainError,
     DomainExitError,
     FlatChart,
@@ -273,6 +274,21 @@ def test_initial_point_outside_domain():
     sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
     with pytest.raises(DomainError):
         integrate_eom(chart, pot, sched, SemiclassicalState([3.0], [0.0]), 1.0)
+
+
+def test_generic_chart_rejects_corrections():
+    # g = 1 + x^2/2: no closed forms for the gradients of the corrections
+    chart = CustomChart(1, lambda x: np.array([[1.0 + 0.5 * x[0] ** 2]]),
+                        domain=(-2.0 * np.ones(1), 2.0 * np.ones(1)))
+    pot = quadratic_potential(-np.eye(1), 1.0)      # inverted well
+    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
+    st0 = SemiclassicalState(np.array([0.3]), np.array([0.0]))
+    with pytest.raises(ParameterError, match="corrections"):
+        integrate_eom(chart, pot, sched, st0, 0.01, corrections=True)
+    with pytest.raises(ParameterError):
+        effective_potential_gradient(chart, pot, np.array([0.3]), sched, 0.0, 1.0, True)
+    traj = integrate_eom(chart, pot, sched, st0, 0.01, corrections=False)
+    assert traj.times[-1] == 0.01 and traj.positions[-1, 0].real > 0.3
 
 
 # -- effective potential -----------------------------------------------------------
