@@ -21,6 +21,9 @@ import numpy as np
 from . import geometry
 from .errors import ConvergenceError, ParameterError, ScheduleError, SingularMetricError
 
+# Central-difference step of a potential gradient without an analytic callback.
+GRADIENT_FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -154,13 +157,13 @@ class PotentialField:
     def __call__(self, point):
         return self.fn(np.asarray(point))
 
-    def gradient_at(self, point, step=None):
+    def gradient_at(self, point):
         p = np.asarray(point)
         if p.ndim == 2 and not self._stacked:
-            return np.array([self.gradient_at(q, step) for q in p])
+            return np.array([self.gradient_at(q) for q in p])
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(p))
-        h = 1e-6 if step is None else step
+        h = GRADIENT_FD_STEP
         out = np.empty(p.size, dtype=complex)
         for i in range(p.size):
             ep = p.astype(complex).copy(); ep[i] += h
@@ -205,8 +208,9 @@ def sphere_quadratic_potential(matrix, mass, chart):
     """Ambient quadratic V(x) = (mass/2) x^T A x pulled back to a sphere chart.
 
     ``matrix`` is one A of shape (N, N) or a stack (n, N, N), one per row of
-    the ``(n, N - 1)`` chart points it is then evaluated at.  The gradient is
-    the chain rule through the embedding x(v), continued to complex v.
+    the ``(n, N - 1)`` chart points it is then evaluated at.  The value goes
+    through ``chart.embed``; the gradient is the chain rule through the
+    embedding x(v), continued to complex v, in its own operation order.
     """
     A = np.asarray(matrix, dtype=float)
     if not np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12):
@@ -216,19 +220,15 @@ def sphere_quadratic_potential(matrix, mass, chart):
     sign = 1.0 if chart.pole == "south" else -1.0
     mA = mass * A
 
-    def embed(v):
-        s = np.sum(v**2, axis=-1, keepdims=True) / R**2
-        return np.concatenate([2.0 * v / (1.0 + s), sign * R * (1.0 - s) / (1.0 + s)], axis=-1)
-
     def value(v):
-        x = embed(np.asarray(v))
+        x = chart.embed(v)
         xa = x @ A if A.ndim == 2 else (x[..., None, :] @ A)[..., 0, :]
         return 0.5 * mass * np.sum(x * xa, axis=-1)
 
     def grad(v):
         v = np.asarray(v)
         d = v.shape[-1]
-        s = np.einsum('...i,...i->...', v, v) / R**2
+        s = chart._s(v)
         den = 1.0 + s
         x = np.concatenate([(2.0 / den)[..., None] * v,
                             (sign * R * (1.0 - s) / den)[..., None]], axis=-1)

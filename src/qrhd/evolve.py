@@ -232,7 +232,7 @@ class CrankNicolsonStepper:
     """
 
     def __init__(self, chart, grid, potential, schedule, mass,
-                 include_weyl_correction=False, rtol=SOLVER_TARGET_RTOL):
+                 include_weyl_correction=False):
         import scipy.sparse as sp
 
         if mass <= 0:
@@ -241,7 +241,6 @@ class CrankNicolsonStepper:
         self.grid = grid
         self.schedule = schedule
         self.mass = mass
-        self.rtol = rtol
         D, sqrt_g = assemble_laplace_beltrami(chart, grid, return_weights=True)
         self.kinetic = (-D.matrix).tocsr()  # -Delta_g, scaled by ck/(…) later
         self.sqrt_g = sqrt_g
@@ -300,10 +299,10 @@ class CrankNicolsonStepper:
         b = values - theta * (ck * (self.kinetic @ values) + diag * values)
         if self._fac is None or (t_mid - self._fac_time) > PRECOND_REFRESH_WINDOW:
             self._fac, self._fac_time = _factor(A), t_mid
-        x, it, res = _bicgstab(A, b, values, self._fac.solve, self.rtol)
+        x, it, res = _bicgstab(A, b, values, self._fac.solve, SOLVER_TARGET_RTOL)
         if res > SOLVER_REQUIRED_RTOL:
             self._fac, self._fac_time = _factor(A), t_mid
-            x, it2, res = _bicgstab(A, b, x, self._fac.solve, self.rtol)
+            x, it2, res = _bicgstab(A, b, x, self._fac.solve, SOLVER_TARGET_RTOL)
             it += it2
             if res > SOLVER_REQUIRED_RTOL:
                 raise SolverError(

@@ -7,8 +7,10 @@ scalar, and the ordering corrections to the potential.  Built-in charts
 (flat, constant, stereographic sphere) carry analytic formulas; arbitrary
 user metrics fall back to nested central finite differences.
 
-All evaluations are pure functions of ``(chart, point)``; charts are
-immutable after construction.
+Every chart method takes one point ``(dim,)`` or a stack ``(..., dim)`` and
+returns its quantity over the stack's leading axes, so a point and a stack
+share one formula.  All evaluations are pure functions of ``(chart, point)``;
+charts are immutable after construction.
 """
 
 from __future__ import annotations
@@ -35,15 +37,24 @@ def _as_point(point, dim):
     return p
 
 
+def _cholesky(g, point):
+    try:
+        return np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError(f"metric not positive definite at {point}") from None
+
+
 class MetricChart:
     """Base chart: a metric field over an axis-aligned coordinate box.
 
-    Subclasses must implement ``metric_at``.  Every derived quantity has a
-    finite-difference default here, so a chart defined by a bare metric
-    callback still provides Christoffel symbols, curvature and the quantum
-    corrections (at reduced accuracy).  The gradients of the corrections and
-    of log sqrt(g) that the semiclassical equation continues to complex
-    points exist only on charts with closed forms.
+    Subclasses must implement ``metric_at`` over ``(..., dim)`` stacks.  Every
+    derived quantity has a default here, written once over stacks: the
+    inverse and volume factor from the metric, and the connection, curvature
+    and corrections from central differences (``_fd``), so a chart defined by
+    a bare metric callback still provides them (at reduced accuracy).  The
+    gradients of the corrections and of log sqrt(g) that the semiclassical
+    equation continues to complex points exist only on charts with closed
+    forms.
     """
 
     def __init__(self, dim, domain=None):
@@ -64,6 +75,7 @@ class MetricChart:
     # -- domain ---------------------------------------------------------
 
     def contains(self, point):
+        """True when the point, or every point of a stack, is strictly inside."""
         p = np.asarray(point, dtype=float)
         return bool(np.all(p > self.lo) and np.all(p < self.hi))
 
@@ -80,127 +92,101 @@ class MetricChart:
 
     def inverse_metric_at(self, point):
         g = self.metric_at(point)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise SingularMetricError(f"metric not positive definite at {point}")
+        _cholesky(g, point)
         return np.linalg.inv(g)
 
-    def sqrt_det_at(self, point):
-        g = self.metric_at(point)
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise SingularMetricError(f"metric not positive definite at {point}")
-        return float(np.prod(np.diagonal(chol)))
+    def sqrt_det_many(self, points):
+        """sqrt(det g)."""
+        chol = _cholesky(self.metric_at(points), points)
+        return np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
 
-    def _metric_derivatives(self, point):
-        """dg[k, i, j] = d g_ij / d x^k by central differences."""
+    def volume_inverse_metric_many(self, points):
+        """sqrt(g) g^{ij}, the flux coefficient of the operator assembly."""
+        return self.sqrt_det_many(points)[..., None, None] * self.inverse_metric_at(points)
+
+    def _fd(self, fn, point):
+        """Central differences d_k fn, with k the axis after the stack axes."""
         p = np.asarray(point, dtype=float)
-        dg = np.empty((self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            h = self.fd_step[k]
-            ep = p.copy(); ep[k] += h
-            em = p.copy(); em[k] -= h
-            dg[k] = (self.metric_at(ep) - self.metric_at(em)) / (2 * h)
-        return dg
+        parts = []
+        for k, h in enumerate(self.fd_step):
+            e = np.zeros(self.dim)
+            e[k] = h
+            parts.append((fn(p + e) - fn(p - e)) / (2 * h))
+        return np.stack(parts, axis=p.ndim - 1)
 
     def christoffel_at(self, point):
         """Levi-Civita connection Gamma^i_{jk} (symmetric in jk)."""
         ginv = self.inverse_metric_at(point)
-        dg = self._metric_derivatives(point)
+        dg = self._fd(self.metric_at, point)      # dg[..., k, i, j] = d_k g_ij
         # Gamma^i_jk = 1/2 g^{il} (d_j g_lk + d_k g_jl - d_l g_jk)
-        term = np.einsum('jlk->ljk', dg) + np.einsum('klj->ljk', dg) - dg
-        return 0.5 * np.einsum('il,ljk->ijk', ginv, term)
+        term = np.einsum('...jlk->...ljk', dg) + np.einsum('...klj->...ljk', dg) - dg
+        return 0.5 * np.einsum('...il,...ljk->...ijk', ginv, term)
 
     def christoffel_trace_at(self, point):
         """Gamma_i = sum_j Gamma^j_{ij} = d_i log sqrt(g)."""
-        gam = self.christoffel_at(point)
-        return np.einsum('jij->i', gam)
+        return np.einsum('...jij->...i', self.christoffel_at(point))
 
     def christoffel_trace_grad_at(self, point):
         """Matrix d_i Gamma_j by central differences on the trace."""
-        p = np.asarray(point, dtype=float)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            h = self.fd_step[i]
-            ep = p.copy(); ep[i] += h
-            em = p.copy(); em[i] -= h
-            out[i] = (self.christoffel_trace_at(ep) - self.christoffel_trace_at(em)) / (2 * h)
-        return out
-
-    def _christoffel_derivatives(self, point):
-        """dGamma[m, i, j, k] = d_m Gamma^i_{jk} by central differences."""
-        p = np.asarray(point, dtype=float)
-        out = np.empty((self.dim, self.dim, self.dim, self.dim))
-        for m in range(self.dim):
-            h = self.fd_step[m]
-            ep = p.copy(); ep[m] += h
-            em = p.copy(); em[m] -= h
-            out[m] = (self.christoffel_at(ep) - self.christoffel_at(em)) / (2 * h)
-        return out
+        return self._fd(self.christoffel_trace_at, point)
 
     def ricci_scalar_at(self, point):
         """Scalar curvature from the R_{ki}^k_j contraction of the connection."""
         ginv = self.inverse_metric_at(point)
         gam = self.christoffel_at(point)
-        dgam = self._christoffel_derivatives(point)
+        dgam = self._fd(self.christoffel_at, point)   # dgam[..., m, i, j, k] = d_m Gamma^i_jk
         # R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_km Gamma^m_ij
         #        - Gamma^k_im Gamma^m_kj
         ricci = (
-            np.einsum('kkij->ij', dgam)
-            - np.einsum('ikkj->ij', dgam)
-            + np.einsum('kkm,mij->ij', gam, gam)
-            - np.einsum('kim,mkj->ij', gam, gam)
+            np.einsum('...kkij->...ij', dgam)
+            - np.einsum('...ikkj->...ij', dgam)
+            + np.einsum('...kkm,...mij->...ij', gam, gam)
+            - np.einsum('...kim,...mkj->...ij', gam, gam)
         )
-        return float(np.einsum('ij,ij->', ginv, ricci))
-
-    # -- vectorized variants used by operator assembly --------------------
-
-    def sqrt_det_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        return np.array([self.sqrt_det_at(p) for p in pts])
-
-    def volume_inverse_metric_many(self, points):
-        """sqrt(g) g^{ij} stacked over points, shape (n, dim, dim)."""
-        pts = np.asarray(points, dtype=float)
-        return np.array([self.sqrt_det_at(p) * self.inverse_metric_at(p) for p in pts])
+        return np.einsum('...ij,...ij->...', ginv, ricci)
 
     def quantum_corrections_many(self, points, mass):
-        """(delta_v, delta_v_prime) arrays over checked interior points."""
-        out = np.array([quantum_corrections(self, p, mass) for p in points])
-        return out[:, 0], out[:, 1]
+        """(delta_v, delta_v_prime) by contracting the connection; see
+        ``quantum_corrections``."""
+        ginv = self.inverse_metric_at(points)
+        gam = self.christoffel_at(points)
+        contraction = np.einsum('...ij,...kil,...ljk->...', ginv, gam, gam)
+        delta_v = (-self.ricci_scalar_at(points) + contraction) / (8.0 * mass)
+        trace_grad = self.christoffel_trace_grad_at(points)
+        delta_v_prime = np.einsum('...ij,...ij->...', ginv, trace_grad) / (8.0 * mass)
+        return delta_v, delta_v_prime
 
-    # -- terms of the semiclassical equation over an (n, dim) stack ---------
+    # -- terms of the semiclassical equation ------------------------------
     # The connection and the inverse metric are taken at the points as given
     # (the integrator passes Re p); the two gradients are continued to
     # complex points, so only charts with closed forms provide them.
 
     def geodesic_term_many(self, points, velocities):
-        """Gamma^i_jk(p) v^j v^k per row."""
-        return np.array([np.einsum('ijk,j,k->i', self.christoffel_at(p), v, v)
-                         for p, v in zip(points, velocities)])
+        """Gamma^i_jk(p) v^j v^k."""
+        return np.einsum('...ijk,...j,...k->...i', self.christoffel_at(points),
+                         velocities, velocities)
 
     def inverse_metric_apply_many(self, points, covectors):
-        """g^{ij}(p) w_j per row."""
-        return np.array([self.inverse_metric_at(p) @ w for p, w in zip(points, covectors)])
+        """g^{ij}(p) w_j."""
+        return np.einsum('...ij,...j->...i', self.inverse_metric_at(points), covectors)
 
     def correction_gradient_many(self, points, mass):
-        """Gradient of delta_v + delta_v_prime per row."""
+        """Gradient of delta_v + delta_v_prime."""
         raise ParameterError(
             f"{type(self).__name__} has no closed-form gradient of the ordering "
             "corrections: differencing their nested finite differences gives noise "
             "that stalls the adaptive integrator; integrate with corrections off")
 
     def log_sqrt_g_gradient_many(self, points):
-        """Gradient of log sqrt(g) per row."""
+        """Gradient of log sqrt(g)."""
         raise ParameterError(
             f"{type(self).__name__} has no closed-form log sqrt(g) to continue to "
             "complex points; integrate with corrections off")
 
 
 class ConstantChart(MetricChart):
-    """Constant symmetric positive-definite metric G."""
+    """Constant symmetric positive-definite metric G: the connection, the
+    curvature, the corrections and their gradients are exact zeros."""
 
     def __init__(self, matrix, domain=None):
         G = np.asarray(matrix, dtype=float)
@@ -217,36 +203,39 @@ class ConstantChart(MetricChart):
         self._ginv = np.linalg.inv(G)
         self._sqrt_det = float(np.prod(np.diagonal(chol)))
 
+    def _repeat(self, points, value):
+        """``value`` at every point: an array over the points' leading axes."""
+        value = np.asarray(value, dtype=float)
+        return np.broadcast_to(value, np.shape(points)[:-1] + value.shape).copy()
+
     def metric_at(self, point):
-        return self._g.copy()
+        return self._repeat(point, self._g)
 
     def inverse_metric_at(self, point):
-        return self._ginv.copy()
-
-    def sqrt_det_at(self, point):
-        return self._sqrt_det
-
-    def christoffel_at(self, point):
-        return np.zeros((self.dim,) * 3)
-
-    def christoffel_trace_at(self, point):
-        return np.zeros(self.dim)
-
-    def christoffel_trace_grad_at(self, point):
-        return np.zeros((self.dim, self.dim))
-
-    def ricci_scalar_at(self, point):
-        return 0.0
+        return self._repeat(point, self._ginv)
 
     def sqrt_det_many(self, points):
-        return np.full(len(points), self._sqrt_det)
+        return self._repeat(points, self._sqrt_det)
 
     def volume_inverse_metric_many(self, points):
-        return np.broadcast_to(self._sqrt_det * self._ginv,
-                               (len(points), self.dim, self.dim)).copy()
+        return self._repeat(points, self._sqrt_det * self._ginv)
+
+    def christoffel_at(self, point):
+        return self._repeat(point, np.zeros((self.dim,) * 3))
+
+    def christoffel_trace_at(self, point):
+        return self._repeat(point, np.zeros(self.dim))
+
+    log_sqrt_g_gradient_many = christoffel_trace_at
+
+    def christoffel_trace_grad_at(self, point):
+        return self._repeat(point, np.zeros((self.dim, self.dim)))
+
+    def ricci_scalar_at(self, point):
+        return self._repeat(point, 0.0)
 
     def quantum_corrections_many(self, points, mass):
-        return np.zeros(len(points)), np.zeros(len(points))
+        return self._repeat(points, 0.0), self._repeat(points, 0.0)
 
     def geodesic_term_many(self, points, velocities):
         return np.zeros_like(velocities)
@@ -255,10 +244,7 @@ class ConstantChart(MetricChart):
         return covectors @ self._ginv.T
 
     def correction_gradient_many(self, points, mass):
-        return np.zeros_like(points)
-
-    def log_sqrt_g_gradient_many(self, points):
-        return np.zeros_like(points)
+        return self._repeat(points, np.zeros(self.dim))
 
 
 class FlatChart(ConstantChart):
@@ -272,12 +258,17 @@ class FlatChart(ConstantChart):
 class SphereStereographicChart(MetricChart):
     """Stereographic chart of the sphere |x| = R in ambient dimension N.
 
-    The chart has dimension N-1 and the conformally flat metric
-    g_ij = (2 / (1 + |v|^2/R^2))^2 delta_ij.  ``pole='north'`` projects from
-    the north pole x_N = +R (the usual u coordinates, origin maps to the
-    south pole); ``pole='south'`` projects from x_N = -R (the v coordinates,
-    origin maps to the north pole).  Default domain is the box [-R, R] per
-    coordinate.
+    The chart has dimension d = N-1 and the conformally flat metric
+    g_ij = exp(xi) delta_ij, xi = 2 log(2 / (1 + s)), s = |v|^2/R^2.
+    ``pole='north'`` projects from the north pole x_N = +R (the usual u
+    coordinates, origin maps to the south pole); ``pole='south'`` projects
+    from x_N = -R (the v coordinates, origin maps to the north pole).
+    Default domain is the box [-R, R] per coordinate.
+
+    Every quantity is written once from s and from grad xi = c v with
+    c = -4 / (R^2 (1 + s)).  Complex points continue the formulas
+    analytically (s = sum v_i^2, not |v|^2), as the semiclassical equation
+    needs.
     """
 
     def __init__(self, ambient_dim, radius=1.0, pole="south", domain=None):
@@ -295,142 +286,144 @@ class SphereStereographicChart(MetricChart):
         self.radius = float(radius)
         self.pole = pole
 
-    # conformal factor bookkeeping: metric = exp(xi) * I with
-    # xi = 2 log(2 / (1 + s)), s = |v|^2 / R^2
-    def _s(self, point):
-        v = np.asarray(point, dtype=float)
-        return float(v @ v) / self.radius**2
+    def _s(self, points):
+        return np.einsum('...i,...i->...', points, points) / self.radius**2
 
-    def conformal_exponent_at(self, point):
-        return 2.0 * (np.log(2.0) - np.log1p(self._s(point)))
+    def _xi_slope(self, points):
+        """c in grad xi = c v."""
+        return -4.0 / (self.radius**2 * (1.0 + self._s(points)))
 
-    def conformal_exponent_grad_at(self, point):
-        v = np.asarray(point, dtype=float)
-        return -4.0 * v / (self.radius**2 * (1.0 + self._s(point)))
+    def _grad_xi(self, points):
+        v = np.asarray(points)
+        return self._xi_slope(v)[..., None] * v
 
-    def conformal_exponent_hess_at(self, point):
-        v = np.asarray(point, dtype=float)
-        R2 = self.radius**2
-        s = self._s(point)
-        return (-4.0 / (R2 * (1.0 + s))) * np.eye(self.dim) + (
-            8.0 / (R2**2 * (1.0 + s) ** 2)
-        ) * np.outer(v, v)
+    def _times_eye(self, scale):
+        return scale[..., None, None] * np.eye(self.dim)
 
     def metric_at(self, point):
-        return np.exp(self.conformal_exponent_at(point)) * np.eye(self.dim)
+        # the log1p form: written as (2 / (1 + s))^2 the metric roughly doubles
+        # the noise of the nested-difference Ricci reference in geometry-check
+        return self._times_eye(np.exp(2.0 * (np.log(2.0) - np.log1p(self._s(point)))))
+
+    def _inverse_factor(self, points):
+        """exp(-xi) = ((1 + s) / 2)^2."""
+        return (0.5 * (1.0 + self._s(points))) ** 2
 
     def inverse_metric_at(self, point):
-        return np.exp(-self.conformal_exponent_at(point)) * np.eye(self.dim)
+        return self._times_eye(self._inverse_factor(point))
 
-    def sqrt_det_at(self, point):
-        return float(np.exp(0.5 * self.dim * self.conformal_exponent_at(point)))
+    def inverse_metric_apply_many(self, points, covectors):
+        return self._inverse_factor(points)[..., None] * covectors
+
+    def sqrt_det_many(self, points):
+        return (2.0 / (1.0 + self._s(points))) ** self.dim
+
+    def volume_inverse_metric_many(self, points):
+        return self._times_eye((2.0 / (1.0 + self._s(points))) ** (self.dim - 2))
 
     def christoffel_at(self, point):
-        b = self.conformal_exponent_grad_at(point)
-        d = self.dim
-        eye = np.eye(d)
+        b = self._grad_xi(point)
+        eye = np.eye(self.dim)
         # Gamma^i_jk = 1/2 (delta^i_j b_k + delta^i_k b_j - delta_jk b_i)
         return 0.5 * (
-            np.einsum('ij,k->ijk', eye, b)
-            + np.einsum('ik,j->ijk', eye, b)
-            - np.einsum('jk,i->ijk', eye, b)
+            np.einsum('ij,...k->...ijk', eye, b)
+            + np.einsum('ik,...j->...ijk', eye, b)
+            - np.einsum('jk,...i->...ijk', eye, b)
         )
 
+    def geodesic_term_many(self, points, velocities):
+        # Gamma^i_jk v^j v^k = (b.v) v^i - |v|^2 b^i / 2 with b = grad xi
+        b = self._grad_xi(points)
+        return (np.einsum('...i,...i->...', b, velocities)[..., None] * velocities
+                - 0.5 * np.einsum('...i,...i->...', velocities, velocities)[..., None] * b)
+
     def christoffel_trace_at(self, point):
-        return 0.5 * self.dim * self.conformal_exponent_grad_at(point)
+        # Gamma_i = d_i log sqrt(g) = (d / 2) d_i xi
+        v = np.asarray(point)
+        return (0.5 * self.dim * self._xi_slope(v))[..., None] * v
+
+    log_sqrt_g_gradient_many = christoffel_trace_at
 
     def christoffel_trace_grad_at(self, point):
-        return 0.5 * self.dim * self.conformal_exponent_hess_at(point)
+        # (d / 2) Hess xi, Hess xi = c I + (c^2 / 2) v v^T
+        v = np.asarray(point)
+        c = self._xi_slope(v)
+        outer = np.einsum('...i,...j->...ij', v, v)
+        return 0.5 * self.dim * (self._times_eye(c) + (0.5 * c * c)[..., None, None] * outer)
 
     def ricci_scalar_at(self, point):
         # constant positive curvature of the (N-1)-sphere of radius R
-        return self.dim * (self.dim - 1) / self.radius**2
-
-    def sqrt_det_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        s = np.sum(pts**2, axis=-1) / self.radius**2
-        return (2.0 / (1.0 + s)) ** self.dim
-
-    def volume_inverse_metric_many(self, points):
-        pts = np.asarray(points, dtype=float)
-        s = np.sum(pts**2, axis=-1) / self.radius**2
-        scal = (2.0 / (1.0 + s)) ** (self.dim - 2)
-        return scal[:, None, None] * np.eye(self.dim)
+        return np.full(np.shape(point)[:-1], self.dim * (self.dim - 1) / self.radius**2)
 
     def quantum_corrections_many(self, points, mass):
         # closed forms of the contractions for a conformally flat sphere chart
         d = self.dim
-        s = np.sum(points**2, axis=-1) / self.radius**2
+        s = self._s(points)
         mR2 = mass * self.radius**2
         delta_v = (-d * (d - 1) + (2 - d) * s) / (8.0 * mR2)
         delta_v_prime = d * (-d + (2 - d) * s) / (16.0 * mR2)
         return delta_v, delta_v_prime
-
-    def _s_many(self, points):
-        return np.einsum('...i,...i->...', points, points) / self.radius**2
-
-    def geodesic_term_many(self, points, velocities):
-        # Gamma^i_jk v^j v^k = (b.v) v^i - |v|^2 b^i / 2 with b = grad xi
-        b = (-4.0 / (self.radius**2 * (1.0 + self._s_many(points))))[..., None] * points
-        return (np.einsum('...i,...i->...', b, velocities)[..., None] * velocities
-                - 0.5 * np.einsum('...i,...i->...', velocities, velocities)[..., None] * b)
-
-    def inverse_metric_apply_many(self, points, covectors):
-        return ((0.5 * (1.0 + self._s_many(points))) ** 2)[..., None] * covectors
 
     def correction_gradient_many(self, points, mass):
         # delta_v + delta_v_prime = (-6 d^2 + 4 d + (8 - 2 d^2) s) / (32 m R^2)
         d = self.dim
         return ((4.0 - d * d) / (8.0 * mass * self.radius**4)) * points
 
-    def log_sqrt_g_gradient_many(self, points):
-        # log sqrt(g) = d xi / 2
-        s = self._s_many(points)
-        return (-2.0 * self.dim / (self.radius**2 * (1.0 + s)))[..., None] * points
-
     # -- embedding --------------------------------------------------------
 
     def embed(self, chart_point):
-        """Map chart coordinates to the ambient sphere point (|x| = R)."""
-        v = np.asarray(chart_point, dtype=float)
-        if v.shape != (self.dim,):
-            raise ParameterError(f"expected chart point of dimension {self.dim}")
-        R = self.radius
-        s = (v @ v) / R**2
-        x = np.empty(self.ambient_dim)
-        x[: self.dim] = 2.0 * v / (1.0 + s)
-        xN = R * (1.0 - s) / (1.0 + s)
-        x[self.dim] = xN if self.pole == "south" else -xN
-        return x
+        """Map chart coordinates to ambient sphere points (|x| = R for real ones).
+
+        Complex coordinates continue the map analytically.
+        """
+        v = np.asarray(chart_point)
+        if v.shape[-1:] != (self.dim,):
+            raise ParameterError(f"expected chart points of dimension {self.dim}")
+        s = self._s(v)[..., None]
+        xN = self.radius * (1.0 - s) / (1.0 + s)
+        return np.concatenate([2.0 * v / (1.0 + s), xN if self.pole == "south" else -xN],
+                              axis=-1)
 
     def project(self, ambient_point):
-        """Map an ambient sphere point into chart coordinates."""
+        """Map ambient sphere points into chart coordinates."""
         x = np.asarray(ambient_point, dtype=float)
-        if x.shape != (self.ambient_dim,):
-            raise ParameterError(f"expected ambient point of dimension {self.ambient_dim}")
+        if x.shape[-1:] != (self.ambient_dim,):
+            raise ParameterError(f"expected ambient points of dimension {self.ambient_dim}")
         R = self.radius
-        r = np.linalg.norm(x)
-        if abs(r - R) > 1e-9 * R:
-            raise ParameterError(f"|x| = {r} is not on the sphere of radius {R}")
+        r = np.linalg.norm(x, axis=-1)
+        off = np.abs(r - R) > 1e-9 * R
+        if np.any(off):
+            raise ParameterError(f"|x| = {r[off].flat[0]} is not on the sphere of radius {R}")
         sign = 1.0 if self.pole == "south" else -1.0
-        denom = 1.0 + sign * x[self.dim] / R
-        if abs(denom) < 1e-9:
+        denom = 1.0 + sign * x[..., self.dim] / R
+        if np.any(np.abs(denom) < 1e-9):
             raise PoleSingularityError("projection evaluated at its pole")
-        return x[: self.dim] / denom
+        return x[..., :self.dim] / denom[..., None]
 
 
 class CustomChart(MetricChart):
-    """Chart built from a user metric callback; derivatives by differences."""
+    """Chart built from a user metric callback of one point.
+
+    ``metric_at`` calls it once per point of a stack, the only per-point
+    loop; everything else comes from the ``MetricChart`` differences.
+    """
 
     def __init__(self, dim, metric_fn, domain=None):
         super().__init__(dim, domain)
         self._metric_fn = metric_fn
 
     def metric_at(self, point):
-        g = np.asarray(self._metric_fn(np.asarray(point, dtype=float)), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ParameterError(f"metric callback returned shape {g.shape}")
-        return g
+        p = np.asarray(point, dtype=float)
+        if p.shape[-1:] != (self.dim,):
+            raise ParameterError(f"expected points of dimension {self.dim}, got shape {p.shape}")
+        rows = p.reshape(-1, self.dim)
+        g = np.empty((len(rows), self.dim, self.dim))
+        for n, q in enumerate(rows):
+            gq = np.asarray(self._metric_fn(q), dtype=float)
+            if gq.shape != (self.dim, self.dim):
+                raise ParameterError(f"metric callback returned shape {gq.shape}")
+            g[n] = gq
+        return g.reshape(p.shape[:-1] + (self.dim, self.dim))
 
 
 # -- operations over charts ------------------------------------------------
@@ -477,46 +470,29 @@ def quantum_corrections(chart, point, mass):
     delta_v       = (1/8m) (-Ricci + g^{ij} Gamma^k_{il} Gamma^l_{jk})
     delta_v_prime = (1/8m) g^{ij} d_i Gamma_j,  Gamma_j the Christoffel trace
 
-    ``point`` is one point ``(dim,)``, giving two floats, or an ``(n, dim)``
-    stack strictly inside the domain, giving two length-n arrays.  Both
-    terms vanish identically on flat and constant-metric charts.  A stack on
-    the stereographic sphere chart of dimension d uses the closed forms,
+    ``point`` is one point ``(dim,)``, giving two floats, or a ``(..., dim)``
+    stack strictly inside the domain, giving two arrays over its leading
+    axes.  Both terms vanish identically on flat and constant-metric charts.
+    The stereographic sphere chart of dimension d uses the closed forms,
     with s = |v|^2 / R^2,
 
         delta_v       = (-d (d - 1) + (2 - d) s) / (8 m R^2)
         delta_v_prime = d (-d + (2 - d) s) / (16 m R^2)
 
-    A single point, and a stack on any other chart, takes the contractions
-    above point by point.
+    and any other chart contracts its connection as above
+    (``MetricChart.quantum_corrections_many``).
     """
     if mass <= 0:
         raise ParameterError("mass must be positive")
     pts = np.asarray(point, dtype=float)
-    if pts.ndim == 2:
-        if pts.shape[1] != chart.dim:
-            raise ParameterError(f"expected points of dimension {chart.dim}, got shape {pts.shape}")
-        if not chart.contains(pts):
-            raise DomainError(f"a point lies outside chart domain [{chart.lo}, {chart.hi}]")
-        return chart.quantum_corrections_many(pts, mass)
-    p = chart.require_inside(pts)
-    ginv = chart.inverse_metric_at(p)
-    gam = chart.christoffel_at(p)
-    ric = chart.ricci_scalar_at(p)
-    contraction = np.einsum('ij,kil,ljk->', ginv, gam, gam)
-    delta_v = (-ric + contraction) / (8.0 * mass)
-    trace_grad = chart.christoffel_trace_grad_at(p)
-    delta_v_prime = np.einsum('ij,ij->', ginv, trace_grad) / (8.0 * mass)
-    return float(delta_v), float(delta_v_prime)
-
-
-def fd_gradient(fn, point, step):
-    p = np.asarray(point, dtype=float)
-    out = np.empty(p.size)
-    for i in range(p.size):
-        ep = p.copy(); ep[i] += step[i]
-        em = p.copy(); em[i] -= step[i]
-        out[i] = (fn(ep) - fn(em)) / (2 * step[i])
-    return out
+    if pts.shape[-1:] != (chart.dim,):
+        raise ParameterError(f"expected points of dimension {chart.dim}, got shape {pts.shape}")
+    if not chart.contains(pts):
+        raise DomainError(f"a point lies outside chart domain [{chart.lo}, {chart.hi}]")
+    delta_v, delta_v_prime = chart.quantum_corrections_many(pts, mass)
+    if pts.ndim == 1:
+        return float(delta_v), float(delta_v_prime)
+    return delta_v, delta_v_prime
 
 
 def fd_hessian(fn, point, step):
@@ -553,28 +529,17 @@ def manifold_hessian(chart, potential, point, gradient=None, hessian=None):
     if gradient is not None:
         grad = np.asarray(gradient(p), dtype=float)
     else:
-        grad = fd_gradient(potential, p, chart.fd_step)
+        grad = chart._fd(potential, p)
     if hessian is not None:
         hess = np.asarray(hessian(p), dtype=float)
     elif gradient is not None:
-        rows = np.stack([
-            (np.asarray(gradient(_shift(p, i, chart.fd_step[i])), dtype=float)
-             - np.asarray(gradient(_shift(p, i, -chart.fd_step[i])), dtype=float))
-            / (2 * chart.fd_step[i])
-            for i in range(chart.dim)
-        ])
+        rows = chart._fd(lambda q: np.asarray(gradient(q), dtype=float), p)
         hess = 0.5 * (rows + rows.T)
     else:
         step = np.sqrt(FD_STEP_FRACTION) * (chart.hi - chart.lo)
         hess = fd_hessian(potential, p, step)
     gam = chart.christoffel_at(p)
     return hess - np.einsum('kij,k->ij', gam, grad)
-
-
-def _shift(p, axis, delta):
-    q = np.asarray(p, dtype=float).copy()
-    q[axis] += delta
-    return q
 
 
 def sphere_embed(chart, chart_point):

@@ -641,6 +641,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     """
     if dim < 2:
         raise ParameterError("study dimension must be >= 2")
+    if not all(np.isfinite(gamma) and gamma > 0 for gamma in gammas):
+        raise ParameterError(f"every gamma must be finite and positive, got {list(gammas)}")
     seed_seq = np.random.SeedSequence(seed)
     children = seed_seq.spawn(instances)
     draws = [RandomInstance.draw(dim, np.random.default_rng(s), radius) for s in children]

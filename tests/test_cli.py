@@ -97,6 +97,31 @@ def test_unknown_config_name_exits_2(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def assert_one_json_error(capsys, kind="ParameterError"):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == kind
+
+
+@pytest.mark.parametrize("gammas", ["0", "-1", "1,inf", "nan"])
+def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path, capsys,
+                                                                       gammas):
+    out = tmp_path / "never"
+    assert main(["semiclassical", "--dim", "5", "--gammas", gammas, "--instances", "2",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert_one_json_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sample_every", [0, -0.25])
+def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, sample_every):
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "sample_every": sample_every})
+    out = tmp_path / "never"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    assert_one_json_error(capsys)
+    assert not out.exists()
+
+
 def test_semiclassical_flags_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     args = ["semiclassical", "--dim", "5", "--gammas", "1,5",

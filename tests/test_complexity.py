@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qrhd import (
     ComplexityInputs,
     ConstantChart,
+    CustomChart,
     FlatChart,
     Grid,
     ParameterError,
     Schedule,
+    SphereStereographicChart,
     assemble_laplace_beltrami,
     convergence_bound,
     dyson_factor,
@@ -78,6 +82,27 @@ def test_momentum_representation_ratio_is_inverse_min_eigenvalue():
     af = kinetic_norm_bound(flat, grid_f, 0.1, sched, representation="momentum")
     am = kinetic_norm_bound(metric, grid_m, 0.1, sched, representation="momentum")
     assert am / af == pytest.approx(10.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("chart, n", [
+    (SphereStereographicChart(3, 1.2, pole="north"), 91),   # over 4096 nodes: every 2nd
+    (CustomChart(2, lambda x: np.array([[1.0 + x[0] ** 2, 0.3 * x[1]],
+                                        [0.3 * x[1], 2.0 + np.sin(x[0])]])), 21),
+])
+def test_momentum_bound_matches_a_per_node_loop(chart, n):
+    grid = Grid.for_chart(chart, n)
+    sched = Schedule.exponential(gamma=0.3, eta=1.0, t_end=2.0, dt=0.1)
+    kmax = np.pi / grid.spacing
+    nodes = grid.nodes()
+    worst = 0.0
+    for p in nodes[::max(1, len(nodes) // 4096)]:
+        ginv = np.linalg.inv(chart.metric_at(p))
+        for signs in itertools.product((-1.0, 1.0), repeat=chart.dim):
+            k = kmax * np.array(signs)
+            worst = max(worst, k @ ginv @ k)
+    # 1 / a(t) = exp(-2 gamma t) is largest at t = 0
+    got = kinetic_norm_bound(chart, grid, 0.7, sched, representation="momentum")
+    assert got == pytest.approx(worst / (2 * 0.7), rel=1e-12)
 
 
 def test_stencil_representation_undershoots_momentum_for_mixed_metrics():

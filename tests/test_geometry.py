@@ -8,6 +8,7 @@ from qrhd import (
     CustomChart,
     DomainError,
     FlatChart,
+    MetricChart,
     ParameterError,
     PoleSingularityError,
     SingularMetricError,
@@ -171,15 +172,23 @@ def test_quantum_corrections_requires_positive_mass(south3):
                                        [0.3 * x[1], 2.0 + np.sin(x[0])]])),
 ])
 def test_quantum_corrections_stack_matches_pointwise(chart):
-    pts = interior_points(chart, 5 if isinstance(chart, CustomChart) else 40, seed=3)
+    custom = isinstance(chart, CustomChart)
+    pts = interior_points(chart, 5 if custom else 40, seed=3)
     pts[0] = 0.0
     dv, dvp = quantum_corrections(chart, pts, 0.7)
     assert dv.shape == dvp.shape == (len(pts),)
-    ref = np.array([quantum_corrections(chart, p, 0.7) for p in pts])
-    assert np.abs(dv - ref[:, 0]).max() <= 1e-13
-    assert np.abs(dvp - ref[:, 1]).max() <= 1e-13
+    if custom:
+        # the rows of a stack against the points on their own
+        ref = np.array([quantum_corrections(chart, p, 0.7) for p in pts]).T
+    else:
+        # the sphere's closed forms against the base class contracting the
+        # sphere's analytic connection, Ricci scalar and trace gradient
+        ref = MetricChart.quantum_corrections_many(chart, pts, 0.7)
+    assert np.abs(dv - ref[0]).max() <= 1e-13
+    assert np.abs(dvp - ref[1]).max() <= 1e-13
     single = quantum_corrections(chart, pts[1], 0.7)
     assert all(type(x) is float for x in single)
+    assert single == (dv[1], dvp[1])
 
 
 @pytest.mark.parametrize("chart", [FlatChart(2), ConstantChart(A1)])
@@ -222,7 +231,7 @@ def test_batched_equation_terms_match_pointwise(chart):
 
     ref = [np.einsum('ijk,j,k->i', chart.christoffel_at(p), v, v) for p, v in zip(pts, vel)]
     assert close(chart.geodesic_term_many(pts, vel), np.array(ref))
-    ref = [chart.inverse_metric_at(p) @ w for p, w in zip(pts, cov)]
+    ref = [np.linalg.solve(chart.metric_at(p), w) for p, w in zip(pts, cov)]
     assert close(chart.inverse_metric_apply_many(pts, cov), np.array(ref))
     if chart is CUSTOM2:
         with pytest.raises(ParameterError):
@@ -230,8 +239,12 @@ def test_batched_equation_terms_match_pointwise(chart):
         with pytest.raises(ParameterError):
             chart.log_sqrt_g_gradient_many(pts)
         return
-    ref = [chart.christoffel_trace_at(p) for p in pts]
-    assert close(chart.log_sqrt_g_gradient_many(pts), np.array(ref))
+    # grad log sqrt(g) = -2 d v / (R^2 (1 + s)) on the sphere, zero on constant charts
+    ref = np.zeros_like(pts)
+    if isinstance(chart, SphereStereographicChart):
+        R2 = chart.radius**2
+        ref = -2.0 * chart.dim * pts / (R2 * (1.0 + np.sum(pts**2, axis=1) / R2))[:, None]
+    assert close(chart.log_sqrt_g_gradient_many(pts), ref)
     grad = chart.correction_gradient_many(pts, 0.9)
     if not isinstance(chart, SphereStereographicChart):
         assert np.array_equal(grad, np.zeros_like(pts))
@@ -347,5 +360,60 @@ def test_curvature_bundle_zero_on_flat_charts(south3):
     bs = curvature_bundle(south3, np.array([0.3, 0.1]), 2.0)
     assert bs.ricci_scalar == pytest.approx(2.0)
     assert bs.delta_v == pytest.approx(-1.0 / 8.0, abs=1e-12)
-    grad_logsg = 0.5 * 2 * south3.conformal_exponent_grad_at(np.array([0.3, 0.1]))
+    # grad log sqrt(g) = -2 d v / (R^2 (1 + s)), s = |v|^2 / R^2, here d = 2 and R = 1
+    v = np.array([0.3, 0.1])
+    grad_logsg = -2.0 * 2 * v / (1.0 + v @ v)
     assert np.allclose(bs.christoffel_trace, grad_logsg)
+
+
+STACK_CHARTS = [
+    FlatChart(3),
+    ConstantChart(A1),
+    SphereStereographicChart(4, 1.3, pole="south"),
+    SphereStereographicChart(4, 0.8, pole="north"),
+    CUSTOM2,
+]
+
+
+@pytest.mark.parametrize("chart", STACK_CHARTS)
+def test_every_chart_method_takes_a_point_or_a_stack(chart):
+    # each method on a (dim,) point, an (n, dim) stack and a (2, 3, dim) stack:
+    # the stack's leading axes come first and every row is that point's result
+    rng = np.random.default_rng(21)
+    calls = {
+        "metric_at": lambda p, w: chart.metric_at(p),
+        "inverse_metric_at": lambda p, w: chart.inverse_metric_at(p),
+        "sqrt_det_many": lambda p, w: chart.sqrt_det_many(p),
+        "volume_inverse_metric_many": lambda p, w: chart.volume_inverse_metric_many(p),
+        "christoffel_at": lambda p, w: chart.christoffel_at(p),
+        "christoffel_trace_at": lambda p, w: chart.christoffel_trace_at(p),
+        "christoffel_trace_grad_at": lambda p, w: chart.christoffel_trace_grad_at(p),
+        "ricci_scalar_at": lambda p, w: chart.ricci_scalar_at(p),
+        "quantum_corrections_many":
+            lambda p, w: np.stack(chart.quantum_corrections_many(p, 0.6), axis=-1),
+        "geodesic_term_many": lambda p, w: chart.geodesic_term_many(p, w),
+        "inverse_metric_apply_many": lambda p, w: chart.inverse_metric_apply_many(p, w),
+    }
+    if chart is CUSTOM2:
+        for bad in (lambda p: chart.correction_gradient_many(p, 0.6),
+                    chart.log_sqrt_g_gradient_many):
+            for p in (interior_points(chart, 1)[0], interior_points(chart, 4)):
+                with pytest.raises(ParameterError):
+                    bad(p)
+    else:
+        calls["correction_gradient_many"] = lambda p, w: chart.correction_gradient_many(p, 0.6)
+        calls["log_sqrt_g_gradient_many"] = lambda p, w: chart.log_sqrt_g_gradient_many(p)
+    if isinstance(chart, SphereStereographicChart):
+        calls["embed"] = lambda p, w: chart.embed(p)
+        calls["project"] = lambda p, w: chart.project(chart.embed(p))
+    for lead in ((5,), (2, 3)):
+        pts = interior_points(chart, int(np.prod(lead)), seed=22).reshape(lead + (chart.dim,))
+        w = rng.standard_normal(pts.shape)
+        for name, call in calls.items():
+            got = np.asarray(call(pts, w))
+            rows = [np.asarray(call(p, q)) for p, q in zip(pts.reshape(-1, chart.dim),
+                                                           w.reshape(-1, chart.dim))]
+            assert got.shape == lead + rows[0].shape, name
+            # to rounding: numpy's power and matmul take other kernels for one point
+            err = np.abs(got.reshape((-1,) + rows[0].shape) - np.array(rows)).max()
+            assert err <= 1e-14 * max(1.0, np.abs(rows).max()), name
