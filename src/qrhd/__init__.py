@@ -24,24 +24,19 @@ from .errors import (
 )
 from .geometry import (
     ConstantChart,
-    CurvatureBundle,
     CustomChart,
     FlatChart,
     MetricChart,
     SphereStereographicChart,
     christoffel,
-    curvature_bundle,
     manifold_hessian,
     quantum_corrections,
     ricci_scalar,
-    sphere_embed,
-    sphere_project,
 )
 from .discretize import (
     Grid,
     PotentialField,
     Schedule,
-    SparseOperator,
     assemble_laplace_beltrami,
     quadratic_potential,
     spectral_norm,
@@ -52,9 +47,7 @@ from .evolve import (
     EvolutionTrace,
     WaveFunction,
     evolve,
-    expectation_position,
     init_state,
-    weighted_norm,
 )
 from .semiclassical import (
     RandomInstance,

@@ -267,10 +267,14 @@ def cmd_evolve(args):
             raise ParameterError(f"evolve config missing {key!r}")
     if not (np.isfinite(cfg["sample_every"]) and cfg["sample_every"] > 0):
         raise ParameterError("sample_every must be a finite positive time")
+    if not (np.isfinite(cfg["mass"]) and cfg["mass"] > 0):
+        raise ParameterError("mass must be finite and positive")
+    schedule = build_schedule(cfg["schedule"])
+    if not all(0.0 <= t <= schedule.t_end for t in cfg["frame_times"]):
+        raise ParameterError(f"frame times must lie within [0, t_end = {schedule.t_end}]")
 
     # build everything before creating outputs so bad configs leave no trace
     runs = []
-    schedule = build_schedule(cfg["schedule"])
     for chart_spec in cfg["charts"]:
         chart = build_chart(chart_spec, cfg["domain"])
         grid = Grid.for_chart(chart, cfg["grid"])

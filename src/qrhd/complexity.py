@@ -95,11 +95,9 @@ def kinetic_norm_bound(chart, grid, mass, schedule, tol=1e-4, t_samples=64,
     return float(base * inv_a.max())
 
 
-def measured_sparsity(op):
+def measured_sparsity(A):
     """Max number of stored nonzeros per row."""
-    m = op.matrix if hasattr(op, "matrix") else op
-    csr = m.tocsr()
-    return int(np.diff(csr.indptr).max())
+    return int(np.diff(A.tocsr().indptr).max())
 
 
 def schedule_integral(schedule, T, panels=10_000):

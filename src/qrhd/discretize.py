@@ -94,51 +94,8 @@ class Grid:
 
 
 @dataclass
-class SparseOperator:
-    """Square sparse operator with a weighted-symmetry tag and text export."""
-
-    matrix: scipy.sparse.csr_matrix
-    weighted_symmetric: bool = False
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseOperator):
-            return SparseOperator(self.matrix @ other.matrix)
-        return self.matrix @ other
-
-    def to_coo_text(self):
-        """One "row col real imag" line per stored entry."""
-        coo = self.matrix.tocoo()
-        lines = []
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            z = complex(v)
-            lines.append(f"{r} {c} {z.real:.17g} {z.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_coo_text(cls, text, shape=None):
-        import scipy.sparse as sp  # deferred: `import qrhd` loads no scipy
-
-        rows, cols, vals = [], [], []
-        for line in text.strip().splitlines():
-            r, c, re_, im_ = line.split()
-            rows.append(int(r)); cols.append(int(c))
-            vals.append(float(re_) + 1j * float(im_))
-        vals = np.asarray(vals)
-        if np.all(vals.imag == 0):
-            vals = vals.real
-        if shape is None:
-            n = max(max(rows), max(cols)) + 1
-            shape = (n, n)
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr())
-
-
-@dataclass
 class PotentialField:
-    """Scalar potential with optional analytic gradient and cached node values.
+    """Scalar potential with optional analytic gradient.
 
     ``fn`` takes one point; the built-in constructors below pass ``fn``s and
     gradients that also take an ``(..., dim)`` stack, so ``node_values`` and
@@ -148,7 +105,6 @@ class PotentialField:
 
     fn: object
     gradient_fn: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
     _stacked: bool = field(default=False, init=False, repr=False)
 
     def value_at(self, point):
@@ -174,17 +130,14 @@ class PotentialField:
         return out
 
     def node_values(self, grid):
-        key = (grid.lo.tobytes(), grid.hi.tobytes(), grid.shape)
-        if key not in self._cache:
-            nodes = grid.nodes()
-            if self._stacked:
-                vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
-            else:
-                vals = np.array([self.value_at(p) for p in nodes])
-            if not np.all(np.isfinite(vals)):
-                raise ParameterError("potential not finite at every grid node")
-            self._cache[key] = vals
-        return self._cache[key]
+        nodes = grid.nodes()
+        if self._stacked:
+            vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
+        else:
+            vals = np.array([self.value_at(p) for p in nodes])
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("potential not finite at every grid node")
+        return vals
 
 
 def quadratic_potential(matrix, mass):
@@ -289,7 +242,7 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     the two diagonals of each axis pair.  Boundary rows and columns are zero
     (homogeneous Dirichlet; the wave function is clamped to zero outside).
 
-    Returns a real ``SparseOperator`` D.  With W = diag(sqrt(g) * prod h)
+    Returns the real CSR matrix D.  With W = diag(sqrt(g) * prod h)
     the product W D is symmetric.  With ``return_weights`` the sqrt(g) node
     array is returned as well.
     """
@@ -364,7 +317,7 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     ).tocsr()
     S.sum_duplicates()
     inv_sg = sp.diags(np.where(interior_flat, 1.0 / sqrt_g, 0.0))
-    D = SparseOperator((inv_sg @ S).tocsr(), weighted_symmetric=True)
+    D = (inv_sg @ S).tocsr()
     if return_weights:
         return D, sqrt_g
     return D
@@ -385,14 +338,13 @@ def hamiltonian_diagonals(chart, grid, potential, mass, include_weyl_correction)
     return v_nodes, weyl_nodes
 
 
-def spectral_norm(op, tol=1e-6, max_iterations=10_000):
+def spectral_norm(A, tol=1e-6, max_iterations=10_000):
     """Largest singular value by power iteration on A^H A.
 
     Deterministic all-ones start vector; relative tolerance on successive
     estimates.  Raises ``ConvergenceError`` carrying the last iterate if the
     tolerance is not met within ``max_iterations``.
     """
-    A = op.matrix if isinstance(op, SparseOperator) else op
     if A.shape[0] != A.shape[1]:
         raise ParameterError("spectral_norm expects a square operator")
     AH = A.conjugate().T.tocsr()

@@ -18,14 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import (
-    Grid,
-    Schedule,
-    SparseOperator,
-    assemble_laplace_beltrami,
-    hamiltonian_diagonals,
-)
+from .discretize import Grid, assemble_laplace_beltrami, hamiltonian_diagonals
 from .errors import ParameterError, ScheduleError, SolverError
+from .semiclassical import crossing_time
 
 SOLVER_TARGET_RTOL = 1e-12     # aimed-for residual; must land under 1e-10
 SOLVER_REQUIRED_RTOL = 1e-10
@@ -85,14 +80,6 @@ class WaveFunction:
     def density(self):
         """|psi|^2 reshaped to the grid."""
         return (np.abs(self.values) ** 2).reshape(self.grid.shape)
-
-
-def weighted_norm(psi):
-    return psi.weighted_norm()
-
-
-def expectation_position(psi):
-    return psi.expectation_position()
 
 
 def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
@@ -242,7 +229,7 @@ class CrankNicolsonStepper:
         self.schedule = schedule
         self.mass = mass
         D, sqrt_g = assemble_laplace_beltrami(chart, grid, return_weights=True)
-        self.kinetic = (-D.matrix).tocsr()  # -Delta_g, scaled by ck/(…) later
+        self.kinetic = -D  # -Delta_g, scaled by ck/(…) later
         self.sqrt_g = sqrt_g
         self.v_nodes, self.weyl_nodes = hamiltonian_diagonals(
             chart, grid, potential, mass, include_weyl_correction)
@@ -281,12 +268,11 @@ class CrankNicolsonStepper:
         return ck, diag
 
     def hamiltonian(self, t):
-        """H(t) as a sparse operator; W H is symmetric."""
+        """H(t) as a CSR matrix; W H is symmetric."""
         import scipy.sparse as sp
 
         ck, diag = self.hamiltonian_parts(t)
-        return SparseOperator((ck * self.kinetic + sp.diags(diag)).tocsr(),
-                              weighted_symmetric=True)
+        return (ck * self.kinetic + sp.diags(diag)).tocsr()
 
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""
@@ -329,17 +315,7 @@ class EvolutionTrace:
 
     def first_crossing(self, threshold):
         """First sampled time with |<x>| <= threshold (linear interpolation)."""
-        r = np.linalg.norm(self.positions, axis=1)
-        below = np.where(r <= threshold)[0]
-        if below.size == 0:
-            return None
-        k = below[0]
-        if k == 0:
-            return float(self.times[0])
-        t0, t1 = self.times[k - 1], self.times[k]
-        r0, r1 = r[k - 1], r[k]
-        frac = (r0 - threshold) / (r0 - r1) if r0 != r1 else 1.0
-        return float(t0 + frac * (t1 - t0))
+        return crossing_time(self.times, np.linalg.norm(self.positions, axis=1), threshold)
 
 
 def evolve(chart, grid, potential, schedule, initial, sample_times=None,

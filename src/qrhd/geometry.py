@@ -15,8 +15,6 @@ charts are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -440,30 +438,6 @@ def ricci_scalar(chart, point):
     return chart.ricci_scalar_at(p)
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """Pointwise curvature data: Ricci scalar, Christoffel trace, and the
-    two ordering corrections.  All fields are exactly zero on flat and
-    constant-metric charts."""
-
-    ricci_scalar: float
-    christoffel_trace: np.ndarray
-    delta_v: float
-    delta_v_prime: float
-
-
-def curvature_bundle(chart, point, mass):
-    """Collect the curvature quantities and corrections at one point."""
-    p = chart.require_inside(point)
-    dv, dvp = quantum_corrections(chart, p, mass)
-    return CurvatureBundle(
-        ricci_scalar=float(chart.ricci_scalar_at(p)),
-        christoffel_trace=np.asarray(chart.christoffel_trace_at(p)),
-        delta_v=dv,
-        delta_v_prime=dvp,
-    )
-
-
 def quantum_corrections(chart, point, mass):
     """Ordering corrections (delta_v, delta_v_prime) to the potential.
 
@@ -517,40 +491,22 @@ def fd_hessian(fn, point, step):
     return out
 
 
-def manifold_hessian(chart, potential, point, gradient=None, hessian=None):
+def manifold_hessian(chart, potential, point, gradient=None):
     """Covariant Hessian (Hess_g V)_ij = d_i d_j V - Gamma^k_ij d_k V.
 
     ``potential`` is a scalar callback V(point).  The flat Hessian comes
-    from the analytic ``hessian`` callback when given, else from central
-    differences of the analytic ``gradient`` when given, else from second
-    differences of the value with a step proportional to the edge length.
+    from central differences of the analytic ``gradient`` when given, else
+    from second differences of the value with a step proportional to the
+    edge length.
     """
     p = chart.require_inside(point)
     if gradient is not None:
         grad = np.asarray(gradient(p), dtype=float)
-    else:
-        grad = chart._fd(potential, p)
-    if hessian is not None:
-        hess = np.asarray(hessian(p), dtype=float)
-    elif gradient is not None:
         rows = chart._fd(lambda q: np.asarray(gradient(q), dtype=float), p)
         hess = 0.5 * (rows + rows.T)
     else:
+        grad = chart._fd(potential, p)
         step = np.sqrt(FD_STEP_FRACTION) * (chart.hi - chart.lo)
         hess = fd_hessian(potential, p, step)
     gam = chart.christoffel_at(p)
     return hess - np.einsum('kij,k->ij', gam, grad)
-
-
-def sphere_embed(chart, chart_point):
-    """Ambient coordinates of a stereographic chart point; |result| = R."""
-    if not isinstance(chart, SphereStereographicChart):
-        raise ParameterError("sphere_embed requires a stereographic sphere chart")
-    return chart.embed(chart_point)
-
-
-def sphere_project(chart, ambient_point):
-    """Chart coordinates of an ambient sphere point (away from the pole)."""
-    if not isinstance(chart, SphereStereographicChart):
-        raise ParameterError("sphere_project requires a stereographic sphere chart")
-    return chart.project(ambient_point)

@@ -65,19 +65,6 @@ class Trajectory:
     velocities: np.ndarray  # (T, dim) complex
 
 
-def _deviation(positions, target, chart=None, norm="euclid"):
-    target = np.asarray(target, dtype=float)
-    delta = positions.real - target
-    if norm == "euclid":
-        return np.linalg.norm(delta, axis=-1)
-    if norm == "weighted_at_target":
-        if chart is None:
-            raise ParameterError("weighted norm needs the chart")
-        g = chart.metric_at(target)
-        return np.sqrt(np.einsum('...i,ij,...j->...', delta, g, delta))
-    raise ParameterError(f"unknown norm {norm!r}")
-
-
 # -- effective potential -----------------------------------------------------
 
 def _effective_gradient(chart, potential, p, schedule, t, mass, corrections, log_measure):
@@ -449,27 +436,17 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
     return positions, exit_sample, solver.stats
 
 
-def detect_t_star(times, positions, target, epsilon_star, chart=None,
-                  norm="euclid", mode="first"):
-    """Time at which |Re pos - target| / |pos(0) - target| <= epsilon_star.
+def crossing_time(times, values, level, mode="first"):
+    """Time at which the sampled ``values`` fall to ``level`` or below.
 
-    ``mode="first"`` returns the first crossing (linear interpolation
-    between the bracketing samples); ``mode="sustained"`` returns the
-    crossing after which the ratio never rises above epsilon_star again
-    within the observed window.  Oscillatory trajectories can dip through
-    the ball long before they settle into it, so the sustained variant is
-    the one comparable with envelope-based bounds.  ``None`` when the
-    trajectory never (or, for sustained, does not finally) enter the ball.
+    ``mode="first"`` takes the first sample at or below ``level``;
+    ``mode="sustained"`` the first one after which no sample rises above it
+    again within the observed window.  The time is interpolated linearly
+    between that sample and the one before it, and is ``times[0]`` for a
+    crossing at sample 0.  ``None`` when the values never (or, for
+    sustained, do not finally) reach the level.
     """
-    if not (0.0 < epsilon_star < 1.0):
-        raise ParameterError("epsilon_star must lie in (0, 1)")
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions)
-    dev = _deviation(positions, target, chart, norm)
-    if dev[0] == 0:
-        return 0.0
-    ratio = dev / dev[0]
-    below = ratio <= epsilon_star
+    below = values <= level
     if not below.any():
         return None
     if mode == "first":
@@ -482,10 +459,29 @@ def detect_t_star(times, positions, target, epsilon_star, chart=None,
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     if k == 0:
-        return 0.0
-    r0, r1 = ratio[k - 1], ratio[k]
-    frac = (r0 - epsilon_star) / (r0 - r1) if r0 != r1 else 1.0
+        return float(times[0])
+    r0, r1 = values[k - 1], values[k]
+    frac = (r0 - level) / (r0 - r1) if r0 != r1 else 1.0
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))
+
+
+def detect_t_star(times, positions, target, epsilon_star, mode="first"):
+    """Time at which |Re pos - target| / |pos(0) - target| <= epsilon_star.
+
+    ``mode`` is that of ``crossing_time``: the first crossing, or the
+    ``"sustained"`` one after which the ratio stays in the ball.
+    Oscillatory trajectories can dip through the ball long before they
+    settle into it, so the sustained variant is the one comparable with
+    envelope-based bounds.  A trajectory that starts at the target
+    converges at ``times[0]``.
+    """
+    if not (0.0 < epsilon_star < 1.0):
+        raise ParameterError("epsilon_star must lie in (0, 1)")
+    times = np.asarray(times, dtype=float)
+    dev = np.linalg.norm(np.asarray(positions).real - np.asarray(target, dtype=float), axis=-1)
+    if dev[0] == 0:
+        return float(times[0])
+    return crossing_time(times, dev / dev[0], epsilon_star, mode)
 
 
 # -- Lambert W lower branch ----------------------------------------------------
@@ -643,6 +639,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         raise ParameterError("study dimension must be >= 2")
     if not all(np.isfinite(gamma) and gamma > 0 for gamma in gammas):
         raise ParameterError(f"every gamma must be finite and positive, got {list(gammas)}")
+    if instances < 1:
+        raise ParameterError(f"need at least one instance, got {instances}")
     seed_seq = np.random.SeedSequence(seed)
     children = seed_seq.spawn(instances)
     draws = [RandomInstance.draw(dim, np.random.default_rng(s), radius) for s in children]

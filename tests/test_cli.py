@@ -103,19 +103,27 @@ def assert_one_json_error(capsys, kind="ParameterError"):
     assert json.loads(lines[0])["error"] == kind
 
 
-@pytest.mark.parametrize("gammas", ["0", "-1", "1,inf", "nan"])
+@pytest.mark.parametrize("gammas, instances", [
+    *(pytest.param(g, "2", id=g) for g in ("0", "-1", "1,inf", "nan")),
+    *(pytest.param("1", n, id=f"instances={n}") for n in ("-2", "0")),
+])
 def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path, capsys,
-                                                                       gammas):
+                                                                       gammas, instances):
     out = tmp_path / "never"
-    assert main(["semiclassical", "--dim", "5", "--gammas", gammas, "--instances", "2",
+    assert main(["semiclassical", "--dim", "5", "--gammas", gammas, "--instances", instances,
                  "--seed", "1", "--out", str(out)]) == 2
     assert_one_json_error(capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sample_every", [0, -0.25])
-def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, sample_every):
-    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "sample_every": sample_every})
+@pytest.mark.parametrize("change", [
+    *(pytest.param({"sample_every": v}, id=str(v)) for v in (0, -0.25)),
+    *(pytest.param({"mass": m}, id=f"mass={m}") for m in (0, -1)),
+    pytest.param({"frame_times": [100.0]}, id="frame_after_t_end"),
+    pytest.param({"frame_times": [-0.5, 1.0]}, id="frame_before_0"),
+])
+def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change):
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, **change})
     out = tmp_path / "never"
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert_one_json_error(capsys)
@@ -225,7 +233,7 @@ def test_out_dir_env_default(tmp_path, monkeypatch, capsys):
 
 
 def test_evolve_exits_3_on_stalled_solve(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9,
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9, "frame_times": [0.0],
                                   "schedule": {**SMALL_EVOLVE["schedule"], "t_end": 0.04}})
     monkeypatch.setattr(sys.modules["qrhd.evolve"], "_bicgstab",
                         lambda A, b, x0, precond, rtol: (x0, 1, 1e-3))

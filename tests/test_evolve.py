@@ -17,12 +17,10 @@ from qrhd import (
     WaveFunction,
     assemble_laplace_beltrami,
     evolve,
-    expectation_position,
     init_state,
     quadratic_potential,
     quantum_corrections,
     sphere_quadratic_potential,
-    weighted_norm,
 )
 
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
@@ -39,7 +37,7 @@ def test_uniform_state_amplitude():
     psi = init_state(grid, chart, "uniform")
     assert psi.values[0] == 0 and psi.values[-1] == 0
     assert np.allclose(psi.values[1:4], 1 / np.sqrt(3))
-    assert weighted_norm(psi) == pytest.approx(1.0, abs=1e-12)
+    assert psi.weighted_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_state_deterministic_and_normalized():
@@ -49,14 +47,14 @@ def test_random_state_deterministic_and_normalized():
     assert np.array_equal(a.values, b.values)
     c = init_state(grid, chart, "random", seed=8)
     assert not np.array_equal(a.values, c.values)
-    assert weighted_norm(a) == pytest.approx(1.0, abs=1e-12)
+    assert a.weighted_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_state_weighted_norm_on_sphere():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 33)
     psi = init_state(grid, chart, "gaussian", center=[0.1, -0.2], width=0.2)
-    assert weighted_norm(psi) == pytest.approx(1.0, abs=1e-12)
+    assert psi.weighted_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_smooth_state_seeded():
@@ -65,7 +63,7 @@ def test_random_smooth_state_seeded():
     a = init_state(grid, chart, "random-smooth", seed=3, smooth_length=0.25)
     b = init_state(grid, chart, "random-smooth", seed=3, smooth_length=0.25)
     assert np.array_equal(a.values, b.values)
-    assert weighted_norm(a) == pytest.approx(1.0, abs=1e-12)
+    assert a.weighted_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_init_state_validation():
@@ -85,7 +83,7 @@ def test_stepper_step_matches_dense_cayley_solve():
                                    include_weyl_correction=True)
     psi = init_state(grid, chart, "random", seed=2).values
     t, dt = 0.3, 0.05
-    H = stepper.hamiltonian(t + 0.5 * dt).matrix.toarray()
+    H = stepper.hamiltonian(t + 0.5 * dt).toarray()
     eye = np.eye(grid.size)
     expected = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ psi)
     out = stepper.step(psi, t, dt)
@@ -99,7 +97,7 @@ def test_cn_ground_state_is_stationary():
     pot = PotentialField(lambda x: 0.5 * float(x[0]) ** 2)
     sched = Schedule(a=lambda t: 1.0, eta=lambda t: 1.0, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 1.0)
-    evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).matrix.toarray())
+    evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).toarray())
     psi0 = WaveFunction(evecs[:, 0], grid, chart).normalized()
     psi = psi0.values
     for k in range(100):
@@ -136,7 +134,7 @@ def test_evolve_matches_manual_stepping(chart, weyl):
                    include_weyl_correction=weyl, mass=0.1)
     # dense reference built point by point, sharing no code with the stepper:
     # H(t) = -D / (2 m a) + diag(a eta V + dV / a)
-    D = assemble_laplace_beltrami(chart, grid).matrix.toarray()
+    D = assemble_laplace_beltrami(chart, grid).toarray()
     nodes = grid.nodes()
     V = np.array([pot.value_at(p) for p in nodes])
     dV = np.zeros(grid.size)
@@ -212,14 +210,14 @@ def test_expectation_position_special_states():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 41)
     psi = init_state(grid, chart, "gaussian", center=[0.25, -0.125], width=0.08)
-    assert np.abs(expectation_position(psi) - [0.25, -0.125]).max() < 1e-10
+    assert np.abs(psi.expectation_position() - [0.25, -0.125]).max() < 1e-10
     # delta-like state
     vals = np.zeros(grid.size, complex)
     k = grid.ravel_index((13, 27))
     vals[k] = 1.0
     delta = WaveFunction(vals, grid, chart).normalized()
-    assert np.allclose(expectation_position(delta), grid.nodes()[k])
-    assert weighted_norm(delta) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(delta.expectation_position(), grid.nodes()[k])
+    assert delta.weighted_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_crossing_interpolates():
@@ -293,7 +291,7 @@ def test_bicgstab_stops_at_half_step_with_exact_preconditioner():
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
     psi = init_state(grid, chart, "random", seed=1).values
     dt = 0.01
-    H = stepper.hamiltonian(0.5 * dt).matrix
+    H = stepper.hamiltonian(0.5 * dt)
     A = (sp.identity(grid.size) + 0.5j * dt * H).tocsr()
     b = psi - 0.5j * dt * (H @ psi)
     lu = spla.splu(A.tocsc())

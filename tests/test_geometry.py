@@ -18,8 +18,6 @@ from qrhd import (
     quadratic_potential,
     quantum_corrections,
     ricci_scalar,
-    sphere_embed,
-    sphere_project,
     sphere_quadratic_potential,
 )
 
@@ -298,19 +296,19 @@ def test_manifold_hessian_eigenvalues_at_optimum(south3):
 def test_sphere_embed_project_special_points():
     north = SphereStereographicChart(3, 1.0, pole="north")
     south = SphereStereographicChart(3, 1.0, pole="south")
-    assert np.allclose(sphere_embed(north, np.zeros(2)), [0, 0, -1.0])
-    assert np.allclose(sphere_embed(south, np.zeros(2)), [0, 0, 1.0])
+    assert np.allclose(north.embed(np.zeros(2)), [0, 0, -1.0])
+    assert np.allclose(south.embed(np.zeros(2)), [0, 0, 1.0])
     xstar = np.array([0.5, 0.5, 1.0 / np.sqrt(2)])
-    vstar = sphere_project(south, xstar)
+    vstar = south.project(xstar)
     assert np.allclose(vstar, 0.5 / (1 + 1 / np.sqrt(2)) * np.ones(2), atol=1e-12)
 
 
 def test_sphere_project_rejects_pole_and_off_sphere():
     south = SphereStereographicChart(3, 1.0, pole="south")
     with pytest.raises(PoleSingularityError):
-        sphere_project(south, np.array([0.0, 0.0, -1.0]))
+        south.project(np.array([0.0, 0.0, -1.0]))
     with pytest.raises(ParameterError):
-        sphere_project(south, np.array([0.0, 0.0, 1.5]))
+        south.project(np.array([0.0, 0.0, 1.5]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,20 +348,17 @@ def test_north_south_ricci_agree():
 
 
 def test_curvature_bundle_zero_on_flat_charts(south3):
-    from qrhd import curvature_bundle
-
     for chart in (FlatChart(2), ConstantChart(A1)):
-        b = curvature_bundle(chart, np.array([0.1, -0.2]), 1.0)
-        assert b.ricci_scalar == 0.0
-        assert np.all(b.christoffel_trace == 0.0)
-        assert b.delta_v == 0.0 and b.delta_v_prime == 0.0
-    bs = curvature_bundle(south3, np.array([0.3, 0.1]), 2.0)
-    assert bs.ricci_scalar == pytest.approx(2.0)
-    assert bs.delta_v == pytest.approx(-1.0 / 8.0, abs=1e-12)
-    # grad log sqrt(g) = -2 d v / (R^2 (1 + s)), s = |v|^2 / R^2, here d = 2 and R = 1
+        p = np.array([0.1, -0.2])
+        assert ricci_scalar(chart, p) == 0.0
+        assert np.all(chart.christoffel_trace_at(p) == 0.0)
+        assert quantum_corrections(chart, p, 1.0) == (0.0, 0.0)
     v = np.array([0.3, 0.1])
+    assert ricci_scalar(south3, v) == pytest.approx(2.0)
+    assert quantum_corrections(south3, v, 2.0)[0] == pytest.approx(-1.0 / 8.0, abs=1e-12)
+    # grad log sqrt(g) = -2 d v / (R^2 (1 + s)), s = |v|^2 / R^2, here d = 2 and R = 1
     grad_logsg = -2.0 * 2 * v / (1.0 + v @ v)
-    assert np.allclose(bs.christoffel_trace, grad_logsg)
+    assert np.allclose(south3.christoffel_trace_at(v), grad_logsg)
 
 
 STACK_CHARTS = [
