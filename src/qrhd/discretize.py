@@ -21,9 +21,6 @@ import numpy as np
 from . import geometry
 from .errors import ConvergenceError, ParameterError, ScheduleError, SingularMetricError
 
-# Central-difference step of a potential gradient without an analytic callback.
-GRADIENT_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -119,22 +116,17 @@ class PotentialField:
             return np.array([self.gradient_at(q) for q in p])
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(p))
-        h = GRADIENT_FD_STEP
-        out = np.empty(p.size, dtype=complex)
-        for i in range(p.size):
-            ep = p.astype(complex).copy(); ep[i] += h
-            em = p.astype(complex).copy(); em[i] -= h
-            out[i] = (self.fn(ep) - self.fn(em)) / (2 * h)
-        if np.all(out.imag == 0):
-            return out.real
-        return out
+        out = geometry.central_difference(self.fn, p, geometry.FD_STEP)
+        return out.real if np.all(out.imag == 0) else out
 
     def node_values(self, grid):
         nodes = grid.nodes()
-        if self._stacked:
-            vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
-        else:
-            vals = np.array([self.value_at(p) for p in nodes])
+        # a value that is not finite raises below, so numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            if self._stacked:
+                vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
+            else:
+                vals = np.array([self.value_at(p) for p in nodes])
         if not np.all(np.isfinite(vals)):
             raise ParameterError("potential not finite at every grid node")
         return vals

@@ -216,13 +216,24 @@ def test_geometry_check_commands(capsys):
     assert main(["geometry-check", "--kind", "flat", "--dim", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert main(["geometry-check", "--kind", "sphere", "--dim", "4",
-                 "--radius", "2.0", "--pole", "north"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
     # construction rejected for a non-symmetric constant metric
     assert main(["geometry-check", "--kind", "constant",
                  "--matrix", "[[1,0.5],[0.3,1]]"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--dim", "4", "--radius", "2.0", "--pole", "north"],
+    ["--dim", "4"],
+    ["--dim", "5"],
+    ["--dim", "6", "--radius", "0.7"],
+    ["--dim", "10", "--pole", "north"],
+    ["--dim", "10", "--pole", "south"],
+], ids=["N4-R2-north", "N4", "N5", "N6-R0.7", "N10-north", "N10-south"])
+def test_geometry_check_passes_on_higher_dimensional_spheres(args, capsys):
+    # the nested-difference references of the Ricci scalar and of the
+    # corrections must stay within 1e-6 up to ambient dimension 10
+    assert main(["geometry-check", "--kind", "sphere", *args]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch, capsys):

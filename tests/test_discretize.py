@@ -9,6 +9,7 @@ from qrhd import (
     FlatChart,
     Grid,
     ParameterError,
+    PotentialField,
     Schedule,
     ScheduleError,
     SphereStereographicChart,
@@ -175,6 +176,21 @@ def test_stacked_sphere_potential_matches_single_instances(pole):
     for pot, q in zip(singles, pts):
         fd = [(pot(q + h * e) - pot(q - h * e)) / (2 * h) for e in np.eye(3)]
         assert np.abs(pot.gradient_at(q) - fd).max() < 1e-6
+
+
+def test_gradient_by_differences_matches_analytic_gradient():
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 3.0]])
+    pot = PotentialField(lambda x: 0.5 * x @ A @ x + np.sin(x[0]))
+
+    def exact(x):
+        return A @ x + np.cos(x[0]) * np.eye(3)[0]
+
+    real = np.array([0.3, -0.7, 1.1])
+    grad = pot.gradient_at(real)
+    assert np.isrealobj(grad)
+    assert np.abs(grad - exact(real)).max() < 1e-10
+    point = real + 1j * np.array([0.2, -0.1, 0.4])
+    assert np.abs(pot.gradient_at(point) - exact(point)).max() < 1e-10
 
 
 def test_hamiltonian_weyl_correction_flag():

@@ -283,6 +283,15 @@ def test_manifold_hessian_symmetry(south3):
         assert np.abs(H - H.T).max() < 1e-10
 
 
+def test_manifold_hessian_value_branch_matches_gradient_branch(south3):
+    pot = sphere_quadratic_potential(np.diag([1.0, 4.0, 9.0]), 1.0, south3)
+    for p in (np.array([0.3, -0.2]), np.array([-0.5, 0.4])):
+        from_value = manifold_hessian(south3, pot.value_at, p)
+        from_gradient = manifold_hessian(south3, pot.value_at, p, gradient=pot.gradient_at)
+        assert np.abs(from_value - from_value.T).max() < 1e-10
+        assert np.abs(from_value - from_gradient).max() < 1e-6
+
+
 def test_manifold_hessian_eigenvalues_at_optimum(south3):
     # spectrum of g^{-1} Hess_g V at the stationary point is m (lam - lam_min)
     pot = sphere_quadratic_potential(A2, 1.0, south3)
