@@ -34,7 +34,7 @@ from .discretize import (
     quadratic_potential,
     sphere_quadratic_potential,
 )
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, ScheduleError
 from .evolve import evolve, init_state
 from .geometry import (
     ConstantChart,
@@ -195,10 +195,15 @@ def build_schedule(spec):
         code = _compile_schedule_expr(spec["a_expr"])
 
         def a_fn(t, _code=code):
-            return float(eval(_code, {"__builtins__": {}},
-                              dict(_EXPR_FUNCTIONS, **_EXPR_CONSTANTS, t=t)))
+            # numpy stays silent: a non-finite a(t) is rejected where it is used
+            try:
+                with np.errstate(all="ignore"):
+                    return float(eval(_code, {"__builtins__": {}},
+                                      dict(_EXPR_FUNCTIONS, **_EXPR_CONSTANTS, t=t)))
+            except ArithmeticError as exc:
+                raise ScheduleError(f"a_expr raises {type(exc).__name__} at t={t}") from None
 
-        return Schedule(a=a_fn, eta=float(spec.get("eta", 1.0)), gamma=float(spec.get("gamma", 0.0)),
+        return Schedule(a=a_fn, eta=float(spec.get("eta", 1.0)),
                         t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
     raise ParameterError("schedule needs either 'gamma' or 'a_expr'")
 
@@ -381,8 +386,6 @@ def cmd_semiclassical(args):
 
 
 def cmd_bound(args):
-    if args.lambda_eff <= 0:
-        raise ParameterError("lambda_eff must be positive")
     t_bound, gamma_opt = convergence_bound(args.lambda_eff, args.eta, args.mass,
                                            args.epsilon_star)
     print(f"t_bound = {t_bound:.6f}")

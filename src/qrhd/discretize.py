@@ -194,7 +194,8 @@ class Schedule:
     """Time-dependent coefficients a(t), eta(t) and friction gamma.
 
     ``gamma`` is meaningful when a(t) = exp(2 gamma t); the exponential
-    schedule is the package default.
+    schedule is the package default.  Non-finite gamma, dt, t_end or eta(0)
+    are a ``ParameterError``; every comparison is written so NaN fails it.
     """
 
     a: object
@@ -204,12 +205,14 @@ class Schedule:
     dt: float = 1e-2
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ParameterError("t_end must be at least dt")
-        if self.a_at(0.0) <= 0:
-            raise ScheduleError("a(0) must be positive")
+        if not (0 < self.dt < np.inf):
+            raise ParameterError(f"dt must be finite and positive, got {self.dt}")
+        if not (self.dt <= self.t_end < np.inf):
+            raise ParameterError(f"t_end must be finite and at least dt, got {self.t_end}")
+        if not (np.isfinite(self.gamma) and np.isfinite(self.eta_at(0.0))):
+            raise ParameterError("gamma and eta(0) must be finite")
+        if not (0 < self.a_at(0.0) < np.inf):
+            raise ScheduleError("a(0) must be finite and positive")
 
     @classmethod
     def exponential(cls, gamma, eta=1.0, t_end=1.0, dt=1e-2):
@@ -218,8 +221,7 @@ class Schedule:
                    gamma=float(gamma), t_end=float(t_end), dt=float(dt))
 
     def a_at(self, t):
-        val = float(self.a(t) if callable(self.a) else self.a)
-        return val
+        return float(self.a(t) if callable(self.a) else self.a)
 
     def eta_at(self, t):
         return float(self.eta(t) if callable(self.eta) else self.eta)

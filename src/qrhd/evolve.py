@@ -150,6 +150,7 @@ def _gaussian_filter(f, sigmas):
     return f
 
 
+@np.errstate(all="ignore")   # non-finite arithmetic surfaces as a non-finite residual
 def _bicgstab(A, b, x0, precond, rtol, maxiter=400):
     """Right-preconditioned BiCGSTAB; returns (x, iterations, rel_residual)."""
     x = x0.copy()
@@ -259,8 +260,8 @@ class CrankNicolsonStepper:
         Laplace-Beltrami operator, and dV belongs to its momentum-ordered form.
         """
         a = self.schedule.a_at(t)
-        if a <= 0:
-            raise ScheduleError(f"a({t}) = {a} must be positive")
+        if not (0 < a < np.inf):
+            raise ScheduleError(f"a({t}) = {a} must be finite and positive")
         ck = 1.0 / (a * 2.0 * self.mass)
         diag = (a * self.schedule.eta_at(t)) * self.v_nodes
         if self.weyl_nodes is not None:
@@ -283,14 +284,18 @@ class CrankNicolsonStepper:
         np.multiply(self._k_data, theta * ck, out=A.data)
         A.data[self._diag_pos] += 1.0 + theta * diag
         b = values - theta * (ck * (self.kinetic @ values) + diag * values)
+        # each refresh drops the stale factor first, so one factor is alive at a time
         if self._fac is None or (t_mid - self._fac_time) > PRECOND_REFRESH_WINDOW:
+            self._fac = None
             self._fac, self._fac_time = _factor(A), t_mid
         x, it, res = _bicgstab(A, b, values, self._fac.solve, SOLVER_TARGET_RTOL)
-        if res > SOLVER_REQUIRED_RTOL:
+        if not res <= SOLVER_REQUIRED_RTOL:     # a NaN residual fails as well
+            self._fac = None
             self._fac, self._fac_time = _factor(A), t_mid
-            x, it2, res = _bicgstab(A, b, x, self._fac.solve, SOLVER_TARGET_RTOL)
+            start = x if np.isfinite(res) else values
+            x, it2, res = _bicgstab(A, b, start, self._fac.solve, SOLVER_TARGET_RTOL)
             it += it2
-            if res > SOLVER_REQUIRED_RTOL:
+            if not res <= SOLVER_REQUIRED_RTOL:
                 raise SolverError(
                     f"linear solve stalled at t={t_mid}: relative residual {res:.3e}",
                     residual=res,

@@ -390,12 +390,13 @@ def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
     return Trajectory(times, states[:, :dim], states[:, dim:])
 
 
-def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0,
-                           corrections=False, log_measure=False):
+def integrate_sphere_batch(pos0, vel0, A, times, gamma, corrections=False,
+                           log_measure=False):
     """Integrate a batch of south-chart sphere trajectories, sampled at ``times``.
 
-    Row i poses the quadratic A[i] on the chart of ``make_sphere_study_problem``
-    under the schedule a(t) = exp(2 gamma t), eta(t) = eta.
+    Row i poses the quadratic A[i] on the unit-sphere chart of
+    ``make_sphere_study_problem`` with m = 1, under the schedule
+    a(t) = exp(2 gamma t), eta(t) = 1.
 
     Returns (positions, exit_sample, stats): positions of shape
     (n_instances, len(times), dim), complex only with ``log_measure``; the
@@ -407,11 +408,10 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
     dtype = complex if log_measure else float
     pos0 = np.asarray(pos0, dtype=dtype)
     n, d = pos0.shape
-    halfwidth = STUDY_DOMAIN_HALFWIDTH * R
     times = np.asarray(times, dtype=float)
     y0 = np.concatenate([pos0, np.asarray(vel0, dtype=dtype)], axis=1)
-    chart, potential = make_sphere_study_problem(A, R, mass)
-    rhs = _eom_rhs(chart, potential, Schedule.exponential(gamma, eta), mass,
+    chart, potential = make_sphere_study_problem(A)
+    rhs = _eom_rhs(chart, potential, Schedule.exponential(gamma), 1.0,
                    corrections, log_measure)
     solver = DormandPrince(rhs, times[0], y0, times[-1])
     positions = np.empty((n, times.size, d), dtype=dtype)
@@ -419,7 +419,8 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, R=1.0, mass=1.0, eta=1.0
 
     def outside(p):
         # a runaway Im v leaves the box as surely as Re v does
-        return ~((np.abs(p.real) <= halfwidth) & (np.abs(p.imag) <= halfwidth)).all(axis=-1)
+        inside = np.maximum(np.abs(p.real), np.abs(p.imag)) <= STUDY_DOMAIN_HALFWIDTH
+        return ~inside.all(axis=-1)
 
     def record(i, j, block):
         positions[:, i:j] = block
@@ -534,10 +535,9 @@ def convergence_bound(lambda_eff, eta, mass, epsilon_star):
     Returns (t_bound, gamma_opt) with t_bound = (-W_{-1}(-eps/e) - 1)/omega
     and gamma_opt = omega = sqrt(eta lambda_eff / mass).
     """
-    if lambda_eff <= 0:
-        raise ParameterError("lambda_eff must be positive")
-    if eta <= 0 or mass <= 0:
-        raise ParameterError("eta and mass must be positive")
+    if not all(0.0 < v < np.inf for v in (lambda_eff, eta, mass)):
+        raise ParameterError(f"lambda_eff, eta and mass must be finite and positive, "
+                             f"got {lambda_eff}, {eta}, {mass}")
     if not (0.0 < epsilon_star <= 1.0):
         raise ParameterError("epsilon_star must lie in (0, 1]")
     omega = np.sqrt(eta * lambda_eff / mass)
@@ -548,13 +548,15 @@ def convergence_bound(lambda_eff, eta, mass, epsilon_star):
 # -- random-instance study ------------------------------------------------------
 
 STUDY_EPSILON = 0.01
+STUDY_SLACK = 0.02             # a run satisfies the bound at t* >= (1 - slack) bound
 STUDY_LAMBDA_EFF = 3.0      # gap between the two smallest eigenvalues 1, 4
-STUDY_DOMAIN_HALFWIDTH = 4.0   # chart box half-width, in units of R
+STUDY_DOMAIN_HALFWIDTH = 4.0   # chart box half-width on the unit sphere
+STUDY_OFFSET = 0.1             # chart distance of the start from the optimum
 
 
 @dataclass
 class RandomInstance:
-    """One quadratic sphere problem: A = Q^T diag(1,4,...,N^2) Q."""
+    """One quadratic problem on the unit sphere: A = Q^T diag(1,4,...,N^2) Q."""
 
     dim: int
     matrix: np.ndarray
@@ -563,7 +565,7 @@ class RandomInstance:
     initial_position: np.ndarray
 
     @classmethod
-    def draw(cls, dim, rng, radius=1.0, offset=0.1):
+    def draw(cls, dim, rng):
         if dim < 2:
             raise ParameterError("instance dimension must be >= 2")
         G = rng.standard_normal((dim, dim))
@@ -574,10 +576,10 @@ class RandomInstance:
         x_star = Q[0, :].copy()
         if x_star[-1] <= 0:
             x_star = -x_star
-        v_star = radius * x_star[:-1] / (1.0 + x_star[-1])
+        v_star = x_star[:-1] / (1.0 + x_star[-1])
         direction = rng.standard_normal(dim - 1)
         direction /= np.linalg.norm(direction)
-        v0 = v_star + offset * radius * direction
+        v0 = v_star + STUDY_OFFSET * direction
         return cls(dim, A, x_star, v_star, v0)
 
 
@@ -600,12 +602,7 @@ class StudyReport:
     gamma_opt: float
     excluded_count: int
     fraction_satisfied: float
-    params: dict
     integrator: dict = field(default_factory=dict)   # method, tolerances, counts
-
-    def all_satisfied(self):
-        checked = [r.satisfied for r in self.runs if r.satisfied is not None]
-        return bool(checked) and all(checked)
 
 
 def _study_horizon(gamma, lambda_eff, epsilon_star):
@@ -618,15 +615,15 @@ def _study_horizon(gamma, lambda_eff, epsilon_star):
 
 
 def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
-                       lambda_eff=STUDY_LAMBDA_EFF, radius=1.0, mass=1.0, eta=1.0,
-                       corrections=False, log_measure=False, slack=0.02):
+                       lambda_eff=STUDY_LAMBDA_EFF, corrections=False, log_measure=False):
     """Random-instance convergence study on the south stereographic chart.
 
     Draws seeded instances, integrates the damped natural-gradient equation
-    for every (instance, gamma) pair with m = R = eta = 1 defaults, detects
-    t_star at ``epsilon_star`` and compares with the damped-oscillator
-    bound.  Domain-exit runs are flagged, excluded from the satisfied
-    fraction, and counted.
+    for every (instance, gamma) pair on the unit sphere with m = eta = 1,
+    detects t_star at ``epsilon_star`` and compares with the damped-oscillator
+    bound; a run satisfies it when t_star >= (1 - ``STUDY_SLACK``) bound.
+    Domain-exit runs are flagged, excluded from the satisfied fraction, and
+    counted.
 
     The ordering-correction and measure terms of the effective potential
     are OFF by default here: at weak damping their early-time (not yet
@@ -643,13 +640,13 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         raise ParameterError(f"need at least one instance, got {instances}")
     seed_seq = np.random.SeedSequence(seed)
     children = seed_seq.spawn(instances)
-    draws = [RandomInstance.draw(dim, np.random.default_rng(s), radius) for s in children]
+    draws = [RandomInstance.draw(dim, np.random.default_rng(s)) for s in children]
     A = np.stack([d.matrix for d in draws])
     v0 = np.stack([d.initial_position for d in draws])
     vstar = np.stack([d.v_star for d in draws])
     vel0 = np.zeros_like(v0)
 
-    bound, gamma_opt = convergence_bound(lambda_eff, eta, mass, epsilon_star)
+    bound, gamma_opt = convergence_bound(lambda_eff, 1.0, 1.0, epsilon_star)
     runs = []
     excluded_count = 0
     ode_steps = []
@@ -660,9 +657,7 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         stride = max(1, int(round(0.01 / dt)))
         times = dt * stride * np.arange(n_steps // stride + 1)
         positions, exit_sample, stats = integrate_sphere_batch(
-            v0, vel0, A, times, gamma, radius, mass, eta,
-            corrections=corrections, log_measure=log_measure,
-        )
+            v0, vel0, A, times, gamma, corrections=corrections, log_measure=log_measure)
         ode_steps.append(dict(gamma=float(gamma), **asdict(stats)))
         for i in range(instances):
             dev = np.linalg.norm(positions[i].real - vstar[i], axis=-1)
@@ -675,7 +670,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
                 continue
             t_star = detect_t_star(times, positions[i], vstar[i], epsilon_star,
                                    mode="sustained")
-            satisfied = None if t_star is None else bool(t_star >= bound * (1.0 - slack))
+            satisfied = (None if t_star is None
+                         else bool(t_star >= bound * (1.0 - STUDY_SLACK)))
             runs.append(StudyRun(i, float(gamma), t_star, bound, satisfied,
                                  False, times, ratios))
     checked = [r for r in runs if r.satisfied is not None]
@@ -686,24 +682,21 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         gamma_opt=gamma_opt,
         excluded_count=excluded_count,
         fraction_satisfied=float(fraction),
-        params=dict(dim=dim, gammas=list(map(float, gammas)), instances=instances,
-                    seed=seed, epsilon_star=epsilon_star, lambda_eff=lambda_eff,
-                    radius=radius, mass=mass, eta=eta, corrections=corrections,
-                    log_measure=log_measure, slack=slack),
         integrator=dict(method=ODE_METHOD, rtol=ODE_RTOL, atol=ODE_ATOL,
                         steps=ode_steps),
     )
 
 
-def make_sphere_study_problem(instance, radius=1.0, mass=1.0):
+def make_sphere_study_problem(instance):
     """Chart and potential of the study: the south chart on the study box.
 
+    The sphere has radius 1 and the quadratic potential mass 1.
     ``instance`` is a ``RandomInstance`` or its matrix; a stack of matrices
     of shape (n, N, N) poses n instances at once, one per row of the
     ``(n, N - 1)`` points the potential is then evaluated at.
     """
     A = np.asarray(getattr(instance, "matrix", instance), dtype=float)
     dim = A.shape[-1] - 1
-    box = STUDY_DOMAIN_HALFWIDTH * radius * np.ones(dim)
-    chart = SphereStereographicChart(A.shape[-1], radius, pole="south", domain=(-box, box))
-    return chart, sphere_quadratic_potential(A, mass, chart)
+    box = STUDY_DOMAIN_HALFWIDTH * np.ones(dim)
+    chart = SphereStereographicChart(A.shape[-1], 1.0, pole="south", domain=(-box, box))
+    return chart, sphere_quadratic_potential(A, 1.0, chart)

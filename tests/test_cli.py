@@ -121,6 +121,11 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
     *(pytest.param({"mass": m}, id=f"mass={m}") for m in (0, -1)),
     pytest.param({"frame_times": [100.0]}, id="frame_after_t_end"),
     pytest.param({"frame_times": [-0.5, 1.0]}, id="frame_before_0"),
+    *(pytest.param({"schedule": dict(SMALL_EVOLVE["schedule"], **{key: v})},
+                   id=f"{key}={v}")
+      for key, v in (("eta", float("nan")), ("gamma", float("nan")),
+                     ("gamma", float("inf")), ("dt", float("nan")),
+                     ("t_end", float("inf")))),
 ])
 def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_EVOLVE, **change})
@@ -128,6 +133,22 @@ def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change)
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert_one_json_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a_expr, dt, kind", [
+    # 1/t fails at t = 0; the others in one step, whose midpoint t = 0.75 is past
+    # the overflow of a(t)
+    *(pytest.param(a, 1.5, "ScheduleError", id=a)
+      for a in ("1/t", "2**(2000*t)", "exp(1000*t)")),
+    # at t = 0.365, a(t) = 3e158 is finite, but the norms of the CN vectors overflow
+    pytest.param("exp(1000*t)", 0.01, "SolverError", id="exp(1000*t)-small-steps"),
+])
+def test_evolve_schedule_that_divides_by_zero_or_overflows_exits_3(tmp_path, capsys,
+                                                                  a_expr, dt, kind):
+    cfg = dict(SMALL_EVOLVE, schedule={"a_expr": a_expr, "t_end": 1.5, "dt": dt})
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert_one_json_error(capsys, kind)
 
 
 def test_semiclassical_flags_and_determinism(tmp_path):
@@ -179,7 +200,10 @@ def test_bound_command(capsys):
     assert "gamma_opt = 1.732051" in out
     assert main(["bound", "1.0", "1.0", "1.0", "3.0"]) == 0
     assert "t_bound = 0.000000" in capsys.readouterr().out
-    assert main(["bound", "0.01", "1.0", "1.0", "-3.0"]) == 2
+    for args in (["0.01", "1.0", "1.0", "-3.0"], ["0.01", "nan", "1.0", "3.0"],
+                 ["0.01", "1.0", "inf", "3.0"], ["0.01", "1.0", "1.0", "inf"]):
+        assert main(["bound", *args]) == 2
+        assert_one_json_error(capsys)
 
 
 def test_complexity_command(tmp_path):

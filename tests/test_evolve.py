@@ -247,6 +247,7 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
     # every solve stops at relative residual 1e-3; count solves and factors
     mod = sys.modules["qrhd.evolve"]
     calls = {"solve": 0, "factor": 0}
+    held = []     # did the stepper still hold a factor while the next was built?
     real_factor = mod._factor
 
     def bicgstab(A, b, x0, precond, rtol, maxiter=400):
@@ -255,6 +256,7 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
 
     def factor(A):
         calls["factor"] += 1
+        held.append(stepper._fac is not None)
         return real_factor(A)
 
     monkeypatch.setattr(mod, "_bicgstab", bicgstab)
@@ -264,6 +266,50 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
     assert info.value.residual == 1e-3
     # first factorization, one refresh after the failed solve, one retry
     assert calls == {"solve": 2, "factor": 2}
+    assert held == [False, False]
+
+
+def test_non_finite_solve_retries_from_the_previous_state(monkeypatch):
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    psi = init_state(grid, chart, "random", seed=1).values
+    pot = quadratic_potential(A1, 0.1)
+    ref = CrankNicolsonStepper(chart, grid, pot, sched, 0.1).step(psi, 0.0, 0.01)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
+    mod = sys.modules["qrhd.evolve"]
+    starts = []
+    real_bicgstab = mod._bicgstab
+
+    def bicgstab(A, b, x0, precond, rtol, maxiter=400):
+        starts.append(x0)
+        if len(starts) == 1:        # the first solve diverges to NaN
+            return np.full_like(x0, np.nan), 3, np.nan
+        return real_bicgstab(A, b, x0, precond, rtol, maxiter)
+
+    monkeypatch.setattr(mod, "_bicgstab", bicgstab)
+    x = stepper.step(psi, 0.0, 0.01)
+    assert len(starts) == 2 and np.array_equal(starts[1], psi)
+    assert np.array_equal(x, ref)
+
+
+def test_window_refresh_releases_the_stale_factor(monkeypatch):
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
+    psi = init_state(grid, chart, "random", seed=1).values
+    mod = sys.modules["qrhd.evolve"]
+    held = []
+    real_factor = mod._factor
+
+    def factor(A):
+        held.append(stepper._fac is not None)
+        return real_factor(A)
+
+    monkeypatch.setattr(mod, "_factor", factor)
+    for k in range(10):             # one factor serves 0.25 of schedule time
+        psi = stepper.step(psi, 0.1 * k, 0.1)
+    assert max(stepper.solve_iterations) < mod.PRECOND_REFRESH_ITERS
+    assert len(held) == 4 and not any(held)
 
 
 @pytest.mark.parametrize("shape, sigmas", [

@@ -418,6 +418,14 @@ def test_study_excludes_runaway_imaginary_part():
     assert rep.excluded_count == sum(r.excluded for r in rep.runs)
 
 
+def test_corrections_vanish_once_a_overflows():
+    # the study horizon at gamma = 10 is ~57, and a = exp(20 t) overflows past
+    # t = 35.5: the corrections, weighted by 1/a and 1/a^2, are then zero
+    with np.errstate(over="ignore"):
+        rep = run_instance_study(5, [10.0], 1, seed=42, corrections=True)
+    assert rep.excluded_count == 0 and rep.runs[0].satisfied
+
+
 def test_non_finite_state_raises_blow_up():
     chart = FlatChart(1, domain=(-10.0 * np.ones(1), 10.0 * np.ones(1)))
     # inverted well whose force turns NaN past x = 0.6
