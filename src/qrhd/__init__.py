@@ -13,7 +13,6 @@ from .errors import (
     BlowUpError,
     ConvergenceError,
     DomainError,
-    DomainExitError,
     NumericError,
     ParameterError,
     PoleSingularityError,
@@ -51,7 +50,6 @@ from .evolve import (
 )
 from .semiclassical import (
     RandomInstance,
-    SemiclassicalState,
     StudyReport,
     StudyRun,
     Trajectory,

@@ -589,9 +589,12 @@ def main(argv=None):
         sys.stderr.write("\n")
         return 2
     except NumericError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   **({"residual": exc.residual} if getattr(exc, "residual", None) else {})},
-                  sys.stderr)
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        residual = getattr(exc, "residual", None)
+        if residual:
+            # JSON has no NaN or Infinity: a non-finite residual is written as null
+            error["residual"] = residual if np.isfinite(residual) else None
+        json.dump(error, sys.stderr)
         sys.stderr.write("\n")
         return 3
 

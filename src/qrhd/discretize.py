@@ -189,6 +189,9 @@ def sphere_quadratic_potential(matrix, mass, chart):
     return pot
 
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
 @dataclass
 class Schedule:
     """Time-dependent coefficients a(t), eta(t) and friction gamma.
@@ -217,7 +220,13 @@ class Schedule:
     @classmethod
     def exponential(cls, gamma, eta=1.0, t_end=1.0, dt=1e-2):
         eta_val = float(eta)
-        return cls(a=lambda t: np.exp(2.0 * gamma * t), eta=lambda t: eta_val,
+
+        def a(t):
+            # past the largest float a(t) is inf, without numpy's overflow warning
+            x = 2.0 * gamma * t
+            return np.inf if x > _LOG_FLOAT_MAX else np.exp(x)
+
+        return cls(a=a, eta=lambda t: eta_val,
                    gamma=float(gamma), t_end=float(t_end), dt=float(dt))
 
     def a_at(self, t):

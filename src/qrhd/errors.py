@@ -50,14 +50,5 @@ class ConvergenceError(NumericError):
         self.last_iterate = last_iterate
 
 
-class DomainExitError(NumericError):
-    """Trajectory left the chart domain; carries the last valid state."""
-
-    def __init__(self, message, last_state=None, time=None):
-        super().__init__(message)
-        self.last_state = last_state
-        self.time = time
-
-
 class BlowUpError(NumericError):
     """Trajectory became non-finite."""

@@ -327,8 +327,9 @@ def evolve(chart, grid, potential, schedule, initial, sample_times=None,
            frame_times=(), include_weyl_correction=False, mass=1.0):
     """Crank-Nicolson evolution; records <x>(t), norm(t) and density frames.
 
-    ``sample_times`` defaults to every 25 steps plus the endpoint; all
-    requested times are snapped to step boundaries.
+    ``sample_times`` defaults to every ``max(1, n_steps // 400)``-th step
+    (every step below 800 steps) plus the endpoint; all requested times are
+    snapped to step boundaries.
     """
     dt = schedule.dt
     t_end = schedule.t_end

@@ -139,15 +139,12 @@ class MetricChart:
         """Gamma_i = sum_j Gamma^j_{ij} = d_i log sqrt(g)."""
         return np.einsum('...jij->...i', self.christoffel_at(point))
 
-    def christoffel_trace_grad_at(self, point):
-        """Matrix d_i Gamma_j by central differences on the trace."""
-        return self._fd(self.christoffel_trace_at, point)
-
-    def ricci_scalar_at(self, point):
-        """Scalar curvature from the R_{ki}^k_j contraction of the connection."""
+    def _curvature(self, point):
+        """(g^{ij}, Gamma^i_jk, dgam, scalar curvature) with dgam[..., m, i, j, k]
+        = d_m Gamma^i_jk, from one difference of the connection."""
         ginv = self.inverse_metric_at(point)
         gam = self.christoffel_at(point)
-        dgam = self._fd(self.christoffel_at, point)   # dgam[..., m, i, j, k] = d_m Gamma^i_jk
+        dgam = self._fd(self.christoffel_at, point)
         # R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_km Gamma^m_ij
         #        - Gamma^k_im Gamma^m_kj
         ricci = (
@@ -156,16 +153,20 @@ class MetricChart:
             + np.einsum('...kkm,...mij->...ij', gam, gam)
             - np.einsum('...kim,...mkj->...ij', gam, gam)
         )
-        return np.einsum('...ij,...ij->...', ginv, ricci)
+        return ginv, gam, dgam, np.einsum('...ij,...ij->...', ginv, ricci)
+
+    def ricci_scalar_at(self, point):
+        """Scalar curvature from the R_{ki}^k_j contraction of the connection."""
+        return self._curvature(point)[3]
 
     def quantum_corrections_many(self, points, mass):
         """(delta_v, delta_v_prime) by contracting the connection; see
         ``quantum_corrections``."""
-        ginv = self.inverse_metric_at(points)
-        gam = self.christoffel_at(points)
+        ginv, gam, dgam, ricci = self._curvature(points)
         contraction = np.einsum('...ij,...kil,...ljk->...', ginv, gam, gam)
-        delta_v = (-self.ricci_scalar_at(points) + contraction) / (8.0 * mass)
-        trace_grad = self.christoffel_trace_grad_at(points)
+        delta_v = (-ricci + contraction) / (8.0 * mass)
+        # d_i Gamma_j = d_i Gamma^k_jk: differencing commutes with the trace
+        trace_grad = np.einsum('...ikjk->...ij', dgam)
         delta_v_prime = np.einsum('...ij,...ij->...', ginv, trace_grad) / (8.0 * mass)
         return delta_v, delta_v_prime
 
@@ -240,9 +241,6 @@ class ConstantChart(MetricChart):
         return self._repeat(point, np.zeros(self.dim))
 
     log_sqrt_g_gradient_many = christoffel_trace_at
-
-    def christoffel_trace_grad_at(self, point):
-        return self._repeat(point, np.zeros((self.dim, self.dim)))
 
     def ricci_scalar_at(self, point):
         return self._repeat(point, 0.0)
@@ -354,13 +352,6 @@ class SphereStereographicChart(MetricChart):
         return (0.5 * self.dim * self._xi_slope(v))[..., None] * v
 
     log_sqrt_g_gradient_many = christoffel_trace_at
-
-    def christoffel_trace_grad_at(self, point):
-        # (d / 2) Hess xi, Hess xi = c I + (c^2 / 2) v v^T
-        v = np.asarray(point)
-        c = self._xi_slope(v)
-        outer = np.einsum('...i,...j->...ij', v, v)
-        return 0.5 * self.dim * (self._times_eye(c) + (0.5 * c * c)[..., None, None] * outer)
 
     def ricci_scalar_at(self, point):
         # constant positive curvature of the (N-1)-sphere of radius R

@@ -9,13 +9,13 @@ effective potential
 whose geometric corrections decay with the dissipation schedule.  The
 imaginary measure term makes the state complex; connection and inverse
 metric are evaluated at Re(position), scalar force fields are continued to
-the complex position.  One right-hand side, built from the chart's batched
-geometry over an (n, dim) stack and a ``Schedule``, serves both
-``integrate_eom`` (one trajectory on any chart) and the batched sphere
-study; the correction terms need a chart with closed forms for their
-gradients (flat, constant, sphere).  One adaptive integrator,
-Dormand-Prince 8(5,3) (Hairer's DOP853) with its 7th-order dense output,
-drives both.
+the complex position.  One driver, ``integrate_eom``, integrates one
+state or a stack of them on any chart with one right-hand side, built from
+the chart's batched geometry and a ``Schedule``, and one adaptive
+integrator, Dormand-Prince 8(5,3) (Hairer's DOP853) with its 7th-order
+dense output; the random-instance study is one such stack on the sphere.
+The correction terms need a chart with closed forms for their gradients
+(flat, constant, sphere).
 
 Convergence is summarized by the first time the distance ratio to the
 optimum drops below epsilon_star.  For a quadratic mode of stiffness
@@ -35,34 +35,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discretize import Schedule, sphere_quadratic_potential
-from .errors import (
-    BlowUpError,
-    DomainError,
-    DomainExitError,
-    ParameterError,
-    ScheduleError,
-)
+from .errors import BlowUpError, DomainError, ParameterError, ScheduleError
 from .geometry import SphereStereographicChart
-
-
-@dataclass
-class SemiclassicalState:
-    position: np.ndarray
-    velocity: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.atleast_1d(np.asarray(self.position, dtype=complex))
-        self.velocity = np.atleast_1d(np.asarray(self.velocity, dtype=complex))
-        if self.position.shape != self.velocity.shape:
-            raise ParameterError("position and velocity must have the same shape")
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    positions: np.ndarray   # (T, dim) complex
-    velocities: np.ndarray  # (T, dim) complex
 
 
 # -- effective potential -----------------------------------------------------
@@ -312,20 +286,22 @@ class DormandPrince:
         self.t, self.y = (self.t_end if last else t + h), point
         self.f0 = self.k[12].copy()
 
-    def dense(self, times, cols=slice(None)):
+    def dense(self, times):
         """7th-order continuous extension of the last step at ``times`` in [t_prev, t].
 
-        Returns an array of shape (rows, len(times), columns).  The three
-        extra stages are evaluated only when ``times`` is not empty.
+        Covers the position half of the state, its first n/2 columns, in an
+        array of shape (rows, len(times), n/2).  The three extra stages are
+        evaluated only when ``times`` is not empty.
         """
         times = np.asarray(times, dtype=float)
-        y0 = self.y_prev[:, cols]
+        half = self.y.shape[1] // 2
+        y0 = self.y_prev[:, :half]
         if times.size == 0:
-            return np.empty((y0.shape[0], 0, y0.shape[1]), dtype=y0.dtype)
+            return np.empty((y0.shape[0], 0, half), dtype=y0.dtype)
         h = self.h_prev
         self._stages(self.t_prev, self.y_prev, h, range(13, 16))
-        k = self.k[:, :, cols]
-        dy = self.y[:, cols] - y0
+        k = self.k[:, :, :half]
+        dy = self.y[:, :half] - y0
         r = h * np.tensordot(_DP_D, k, axes=1)
         coeffs = (dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]), *r)
         # y0 + s (c0 + (1 - s) (c1 + s (c2 + (1 - s) (c3 + ...)))), innermost first
@@ -335,91 +311,68 @@ class DormandPrince:
             out = (out + c[:, None]) * (s if n % 2 == 0 else 1.0 - s)
         return y0[:, None] + out
 
-    def samples(self, times, cols=slice(None)):
+    def samples(self, times):
         """Step to ``times[-1]``, starting at ``times[0]``.
 
-        After every accepted step yields (i, j, values at times[i:j]), the
-        samples that step covers (possibly none).  Between yields the caller
-        may ``freeze`` rows or stop.
+        After every accepted step yields (i, j, positions at times[i:j]),
+        the samples that step covers (possibly none).  Between yields the
+        caller may ``freeze`` rows or stop.
         """
         i = 1
         while self.t < times[-1]:
             self.step()
             j = int(np.searchsorted(times, self.t, side="right"))
-            yield i, j, self.dense(times[i:j], cols)
+            yield i, j, self.dense(times[i:j])
+            i = j
             i = j
 
 
 # -- trajectory integration ---------------------------------------------------
 
-def integrate_eom(chart, potential, schedule, initial, t_end, corrections=True,
-                  dt_ode=None, record_stride=1, mass=1.0):
+@dataclass
+class Trajectory:
+    """Samples of ``integrate_eom``; arrays put the state's leading axes first."""
+
+    times: np.ndarray
+    positions: np.ndarray    # (..., len(times), dim)
+    exit_sample: np.ndarray  # (...) first sample outside the box, -1 if none
+    stats: OdeStats
+
+
+def integrate_eom(chart, potential, schedule, position, velocity, times,
+                  corrections=False, log_measure=False, mass=1.0):
     """Adaptive integration of the damped geodesic-descent equation.
 
-    Dormand-Prince 8(5,3) at ``ODE_RTOL``/``ODE_ATOL``; the trajectory is
-    sampled by the 7th-order dense output at the multiples of
-    ``dt_ode * record_stride`` below ``t_end`` and at ``t_end``.  The state is complex; Gamma and the
-    inverse metric are evaluated at the real part of the position.  Raises
-    ``DomainExitError`` (carrying the state at the start of the accepted
-    step that left the chart box) and ``BlowUpError`` on non-finite state.
-    """
-    gamma = schedule.gamma
-    if dt_ode is None:
-        dt_ode = min(1e-3, 0.05 / gamma) if gamma > 0 else 1e-3
-    pos = initial.position.astype(complex)
-    vel = initial.velocity.astype(complex)
-    if not chart.contains(pos.real):
-        raise DomainError("initial position outside the chart domain")
-    dim = pos.size
-    n_steps = int(np.ceil(t_end / dt_ode - 1e-12))
-    times = np.append(dt_ode * record_stride * np.arange(-(-n_steps // record_stride)),
-                      float(t_end))
-    rhs = _eom_rhs(chart, potential, schedule, mass, corrections, corrections)
-    solver = DormandPrince(rhs, 0.0, np.concatenate([pos, vel])[None], times[-1])
-    states = np.empty((times.size, 2 * dim), dtype=complex)
-    states[0] = solver.y[0]
-    for i, j, block in solver.samples(times):
-        if not chart.contains(solver.y[0, :dim].real):
-            start = solver.y_prev[0]
-            raise DomainExitError(
-                f"trajectory left the chart domain at t={solver.t}",
-                last_state=SemiclassicalState(start[:dim], start[dim:], solver.t_prev),
-                time=solver.t,
-            )
-        states[i:j] = block[0]
-    return Trajectory(times, states[:, :dim], states[:, dim:])
+    ``position`` and ``velocity`` are one ``(dim,)`` state or a stack
+    ``(..., dim)`` of them; the state is complex only with ``log_measure``.
+    Dormand-Prince 8(5,3) at ``ODE_RTOL``/``ODE_ATOL`` steps every row,
+    each error-controlled on its own, from ``times[0]`` to ``times[-1]``,
+    and its 7th-order dense output fills the positions at ``times``.
 
-
-def integrate_sphere_batch(pos0, vel0, A, times, gamma, corrections=False,
-                           log_measure=False):
-    """Integrate a batch of south-chart sphere trajectories, sampled at ``times``.
-
-    Row i poses the quadratic A[i] on the unit-sphere chart of
-    ``make_sphere_study_problem`` with m = 1, under the schedule
-    a(t) = exp(2 gamma t), eta(t) = 1.
-
-    Returns (positions, exit_sample, stats): positions of shape
-    (n_instances, len(times), dim), complex only with ``log_measure``; the
-    index of each instance's first sample outside the study box (or
-    non-finite), -1 if none; and the integrator's ``OdeStats``.  An instance
-    is frozen at the end of the accepted step that leaves the box: a
-    component of Re v or of Im v beyond the half-width.
+    A row is frozen at the end of the accepted step in which a component of
+    Re p leaves the chart box [lo, hi] or one of |Im p| exceeds the box's
+    half-width (hi - lo) / 2, or at the start if it starts outside; ``exit_sample`` is its first sample outside the box (or
+    non-finite), -1 if none.  A non-finite live row raises ``BlowUpError``.
     """
     dtype = complex if log_measure else float
-    pos0 = np.asarray(pos0, dtype=dtype)
-    n, d = pos0.shape
+    pos = np.asarray(position, dtype=dtype)
+    vel = np.asarray(velocity, dtype=dtype)
+    d = chart.dim
+    if pos.shape != vel.shape or pos.shape[-1:] != (d,):
+        raise ParameterError(f"position and velocity must both have shape (..., {d}), "
+                             f"got {pos.shape} and {vel.shape}")
+    lead = pos.shape[:-1]
+    y0 = np.concatenate([pos, vel], axis=-1).reshape(-1, 2 * d)
     times = np.asarray(times, dtype=float)
-    y0 = np.concatenate([pos0, np.asarray(vel0, dtype=dtype)], axis=1)
-    chart, potential = make_sphere_study_problem(A)
-    rhs = _eom_rhs(chart, potential, Schedule.exponential(gamma), 1.0,
-                   corrections, log_measure)
+    rhs = _eom_rhs(chart, potential, schedule, mass, corrections, log_measure)
     solver = DormandPrince(rhs, times[0], y0, times[-1])
-    positions = np.empty((n, times.size, d), dtype=dtype)
-    exit_sample = np.full(n, -1, dtype=np.int64)
+    positions = np.empty((y0.shape[0], times.size, d), dtype=dtype)
+    exit_sample = np.full(y0.shape[0], -1, dtype=np.int64)
 
     def outside(p):
-        # a runaway Im v leaves the box as surely as Re v does
-        inside = np.maximum(np.abs(p.real), np.abs(p.imag)) <= STUDY_DOMAIN_HALFWIDTH
+        # Im p is a displacement from the real axis, held to the box's half-width
+        inside = ((chart.lo <= p.real) & (p.real <= chart.hi)
+                  & (np.abs(p.imag) <= 0.5 * (chart.hi - chart.lo)))
         return ~inside.all(axis=-1)
 
     def record(i, j, block):
@@ -429,12 +382,13 @@ def integrate_sphere_batch(pos0, vel0, A, times, gamma, corrections=False,
             hit = (exit_sample < 0) & bad.any(axis=1)
             exit_sample[hit] = i + np.argmax(bad[hit], axis=1)
 
-    record(0, 1, pos0[:, None])
-    solver.freeze(outside(pos0))
-    for i, j, block in solver.samples(times, slice(0, d)):
+    record(0, 1, y0[:, None, :d])
+    solver.freeze(outside(y0[:, :d]))
+    for i, j, block in solver.samples(times):
         record(i, j, block)
         solver.freeze(outside(solver.y[:, :d]))
-    return positions, exit_sample, solver.stats
+    return Trajectory(times, positions.reshape(lead + positions.shape[1:]),
+                      exit_sample.reshape(lead), solver.stats)
 
 
 def crossing_time(times, values, level, mode="first"):
@@ -644,7 +598,7 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     A = np.stack([d.matrix for d in draws])
     v0 = np.stack([d.initial_position for d in draws])
     vstar = np.stack([d.v_star for d in draws])
-    vel0 = np.zeros_like(v0)
+    chart, potential = make_sphere_study_problem(A)
 
     bound, gamma_opt = convergence_bound(lambda_eff, 1.0, 1.0, epsilon_star)
     runs = []
@@ -656,9 +610,10 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         n_steps = int(np.ceil(_study_horizon(gamma, lambda_eff, epsilon_star) / dt))
         stride = max(1, int(round(0.01 / dt)))
         times = dt * stride * np.arange(n_steps // stride + 1)
-        positions, exit_sample, stats = integrate_sphere_batch(
-            v0, vel0, A, times, gamma, corrections=corrections, log_measure=log_measure)
-        ode_steps.append(dict(gamma=float(gamma), **asdict(stats)))
+        traj = integrate_eom(chart, potential, Schedule.exponential(gamma), v0,
+                             np.zeros_like(v0), times, corrections, log_measure)
+        positions, exit_sample = traj.positions, traj.exit_sample
+        ode_steps.append(dict(gamma=float(gamma), **asdict(traj.stats)))
         for i in range(instances):
             dev = np.linalg.norm(positions[i].real - vstar[i], axis=-1)
             ratios = dev / dev[0]

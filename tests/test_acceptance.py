@@ -19,7 +19,6 @@ from qrhd import (
     FlatChart,
     Grid,
     Schedule,
-    SemiclassicalState,
     SphereStereographicChart,
     assemble_laplace_beltrami,
     convergence_bound,
@@ -203,9 +202,9 @@ def test_criterion_5_damped_oscillator_oracle():
         t_end = 10.0 / gamma
         sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
         x0 = rng.uniform(-0.9, 0.9, 2)
-        traj = integrate_eom(chart, pot, sched, SemiclassicalState(x0, np.zeros(2)),
-                             t_end, corrections=True, dt_ode=1e-3,
-                             record_stride=200, mass=m)
+        traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
+                             np.linspace(0.0, t_end, 51), corrections=True,
+                             log_measure=True, mass=m)
         n = 2
         M = np.block([[np.zeros((n, n)), np.eye(n)],
                       [-eta * A, -2 * gamma * np.eye(n)]])

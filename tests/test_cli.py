@@ -97,10 +97,17 @@ def test_unknown_config_name_exits_2(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+def strict_json(line):
+    """Parse one line as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
 def assert_one_json_error(capsys, kind="ParameterError"):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == kind
+    assert strict_json(lines[0])["error"] == kind
 
 
 @pytest.mark.parametrize("gammas, instances", [
@@ -275,7 +282,7 @@ def test_evolve_exits_3_on_stalled_solve(tmp_path, monkeypatch, capsys):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    err = json.loads(lines[0])
+    err = strict_json(lines[0])
     assert err["error"] == "SolverError" and err["residual"] == 1e-3
 
 

@@ -8,7 +8,6 @@ from qrhd import (
     CustomChart,
     DomainError,
     FlatChart,
-    MetricChart,
     ParameterError,
     PoleSingularityError,
     SingularMetricError,
@@ -146,6 +145,24 @@ def test_quantum_corrections_sphere_against_finite_differences(south3):
         assert abs(dvp - fdvp) < 1e-6
 
 
+def test_corrections_difference_the_connection_once():
+    # d = 3: g^-1 and Gamma cost 1 + (1 + 4 * 3) metric calls per point and one
+    # difference of Gamma 4 * 3 * 13 = 156; the trace gradient reuses it
+    sphere = SphereStereographicChart(4, 1.0)
+    calls = []
+
+    def metric(x):
+        calls.append(x)
+        return sphere.metric_at(x)
+
+    chart = CustomChart(3, metric, domain=(sphere.lo, sphere.hi))
+    pts = interior_points(chart, 4, seed=8)
+    dv, dvp = quantum_corrections(chart, pts, 1.0)
+    assert len(calls) == 170 * len(pts)
+    ref = np.array(sphere.quantum_corrections_many(pts, 1.0))
+    assert np.abs(np.array([dv, dvp]) - ref).max() < 1e-6
+
+
 def test_quantum_corrections_sphere_two_dim_closed_form(south3):
     # on the 2-sphere chart both terms are constant: -1/(4 m R^2) each
     for p in interior_points(south3, 10, seed=7):
@@ -179,9 +196,16 @@ def test_quantum_corrections_stack_matches_pointwise(chart):
         # the rows of a stack against the points on their own
         ref = np.array([quantum_corrections(chart, p, 0.7) for p in pts]).T
     else:
-        # the sphere's closed forms against the base class contracting the
-        # sphere's analytic connection, Ricci scalar and trace gradient
-        ref = MetricChart.quantum_corrections_many(chart, pts, 0.7)
+        # the sphere's closed forms against contracting the sphere's analytic
+        # connection, Ricci scalar and trace gradient d_i Gamma_j = (d / 2) Hess xi,
+        # Hess xi = c I + (c^2 / 2) v v^T
+        ginv, gam = chart.inverse_metric_at(pts), chart.christoffel_at(pts)
+        c = chart._xi_slope(pts)[:, None, None]
+        outer = np.einsum('...i,...j->...ij', pts, pts)
+        trace_grad = 0.5 * chart.dim * (c * np.eye(chart.dim) + 0.5 * c * c * outer)
+        contraction = np.einsum('...ij,...kil,...ljk->...', ginv, gam, gam)
+        ref = ((-chart.ricci_scalar_at(pts) + contraction) / (8.0 * 0.7),
+               np.einsum('...ij,...ij->...', ginv, trace_grad) / (8.0 * 0.7))
     assert np.abs(dv - ref[0]).max() <= 1e-13
     assert np.abs(dvp - ref[1]).max() <= 1e-13
     single = quantum_corrections(chart, pts[1], 0.7)
@@ -391,7 +415,6 @@ def test_every_chart_method_takes_a_point_or_a_stack(chart):
         "volume_inverse_metric_many": lambda p, w: chart.volume_inverse_metric_many(p),
         "christoffel_at": lambda p, w: chart.christoffel_at(p),
         "christoffel_trace_at": lambda p, w: chart.christoffel_trace_at(p),
-        "christoffel_trace_grad_at": lambda p, w: chart.christoffel_trace_grad_at(p),
         "ricci_scalar_at": lambda p, w: chart.ricci_scalar_at(p),
         "quantum_corrections_many":
             lambda p, w: np.stack(chart.quantum_corrections_many(p, 0.6), axis=-1),

@@ -10,12 +10,10 @@ from qrhd import (
     ConstantChart,
     CustomChart,
     DomainError,
-    DomainExitError,
     FlatChart,
     ParameterError,
     RandomInstance,
     Schedule,
-    SemiclassicalState,
     SphereStereographicChart,
     convergence_bound,
     detect_t_star,
@@ -28,11 +26,7 @@ from qrhd import (
 )
 from qrhd import semiclassical as sc
 from qrhd.discretize import PotentialField
-from qrhd.semiclassical import (
-    DormandPrince,
-    integrate_sphere_batch,
-    make_sphere_study_problem,
-)
+from qrhd.semiclassical import DormandPrince, make_sphere_study_problem
 
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
 
@@ -183,11 +177,10 @@ def test_equilibrium_stays_put():
     chart = FlatChart(2, domain=(-2 * np.ones(2), 2 * np.ones(2)))
     pot = quadratic_potential(A1, 0.1)
     sched = Schedule.exponential(gamma=0.5, eta=0.1, t_end=3.0, dt=1.0)
-    st0 = SemiclassicalState(np.zeros(2), np.zeros(2))
-    traj = integrate_eom(chart, pot, sched, st0, 3.0, corrections=True,
-                         dt_ode=1e-2, mass=0.1)
+    traj = integrate_eom(chart, pot, sched, np.zeros(2), np.zeros(2),
+                         np.linspace(0.0, 3.0, 301), corrections=True, log_measure=True,
+                         mass=0.1)
     assert np.abs(traj.positions).max() == 0.0
-    assert np.abs(traj.velocities).max() == 0.0
 
 
 def test_flat_matches_matrix_exponential_oracle():
@@ -202,9 +195,9 @@ def test_flat_matches_matrix_exponential_oracle():
         pot = quadratic_potential(A, m)
         sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=10 / gamma, dt=1.0)
         x0 = rng.uniform(-0.8, 0.8, 2)
-        traj = integrate_eom(chart, pot, sched, SemiclassicalState(x0, np.zeros(2)),
-                             10 / gamma, corrections=True, dt_ode=1e-3,
-                             record_stride=100, mass=m)
+        traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
+                             np.linspace(0.0, 10 / gamma, 101), corrections=True,
+                             log_measure=True, mass=m)
         oracle = damped_oracle(A, eta, gamma, x0, traj.times)
         assert np.abs(traj.positions.real - oracle).max() < 1e-6
 
@@ -219,8 +212,8 @@ def test_critical_damping_of_the_slow_mode():
     omega = np.sqrt(eta * lam_min_hess / m)
     sched = Schedule.exponential(gamma=omega, eta=eta, t_end=40.0, dt=1.0)
     soft = np.array([1.0, 1.0]) / np.sqrt(2)        # eigenvector of lambda_min
-    traj = integrate_eom(chart, pot, sched, SemiclassicalState(0.5 * soft, np.zeros(2)),
-                         40.0, corrections=False, dt_ode=2e-3, record_stride=50, mass=m)
+    traj = integrate_eom(chart, pot, sched, 0.5 * soft, np.zeros(2),
+                         0.1 * np.arange(401), mass=m)
     dev = np.linalg.norm(traj.positions.real, axis=1) / 0.5
     envelope = (1 + omega * traj.times) * np.exp(-omega * traj.times)
     assert np.abs(dev - envelope).max() < 1e-6
@@ -237,32 +230,53 @@ def test_gamma_eta_scaling_symmetry():
     for gamma, eta in ((0.5, 0.5), (c * 0.5, c**2 * 0.5)):
         t_end = 25.0 / gamma
         sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
-        traj = integrate_eom(chart, pot, sched, SemiclassicalState(x0, np.zeros(2)),
-                             t_end, corrections=False, dt_ode=1e-3,
-                             record_stride=10, mass=m)
+        traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
+                             np.linspace(0.0, t_end, int(round(t_end / 0.01)) + 1), mass=m)
         results.append(detect_t_star(traj.times, traj.positions, np.zeros(2), 0.01,
                                      mode="sustained"))
     assert results[1] == pytest.approx(results[0] / c, rel=1e-2)
 
 
-def test_domain_exit_carries_last_state():
+def test_domain_exit_is_reported_at_its_first_outside_sample():
     chart = FlatChart(1, domain=(-1.0 * np.ones(1), np.ones(1)))
     pot = quadratic_potential(-np.eye(1), 1.0)    # inverted well pushes out
     sched = Schedule.exponential(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
-    st0 = SemiclassicalState(np.array([0.5]), np.array([0.0]))
-    with pytest.raises(DomainExitError) as err:
-        integrate_eom(chart, pot, sched, st0, 10.0, corrections=False,
-                      dt_ode=1e-2, mass=1.0)
-    assert err.value.last_state is not None
-    assert abs(err.value.last_state.position[0]) <= 1.0
+    traj = integrate_eom(chart, pot, sched, np.array([0.5]), np.array([0.0]),
+                         0.01 * np.arange(1001))
+    k = int(traj.exit_sample)
+    # x = 0.5 cosh t leaves the box at t = arccosh 2 = 1.317
+    assert traj.times[k - 1] < np.arccosh(2.0) <= traj.times[k]
+    assert np.abs(traj.positions[:k]).max() <= 1.0 < abs(traj.positions[k, 0])
+    # frozen at the end of the step that left the box
+    assert np.array_equal(traj.positions[-1], traj.positions[-2])
 
 
-def test_initial_point_outside_domain():
+def test_start_outside_domain_exits_at_sample_0():
     chart = FlatChart(1)
     pot = quadratic_potential(np.eye(1), 1.0)
     sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
-    with pytest.raises(DomainError):
-        integrate_eom(chart, pot, sched, SemiclassicalState([3.0], [0.0]), 1.0)
+    traj = integrate_eom(chart, pot, sched, np.array([[3.0], [0.5]]), np.zeros((2, 1)),
+                         np.linspace(0.0, 1.0, 11))
+    assert traj.exit_sample.tolist() == [0, -1]
+    assert np.all(traj.positions[0] == 3.0)
+
+
+def test_box_exit_measures_im_p_from_the_real_axis():
+    # Im p is a displacement, so a box that excludes 0 or is lopsided about
+    # it must not count a small Im p as an exit
+    pot = quadratic_potential(np.eye(1), 1.0)
+    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
+    times = np.linspace(0.0, 0.2, 5)
+    for lo, hi, x0 in ((1.0, 3.0, 2.0), (0.0, 8.0, 4.0 - 0.5j)):
+        chart = FlatChart(1, domain=(lo * np.ones(1), hi * np.ones(1)))
+        traj = integrate_eom(chart, pot, sched, np.array([x0]), np.zeros(1), times,
+                             log_measure=True)
+        assert traj.exit_sample == -1
+        assert np.all(np.abs(traj.positions - x0) < 0.2)
+    # |Im p| past the half-width (hi - lo) / 2 = 4 is an exit
+    traj = integrate_eom(chart, pot, sched, np.array([4.0 + 4.5j]), np.zeros(1), times,
+                         log_measure=True)
+    assert traj.exit_sample == 0
 
 
 def test_generic_chart_rejects_corrections():
@@ -271,13 +285,15 @@ def test_generic_chart_rejects_corrections():
                         domain=(-2.0 * np.ones(1), 2.0 * np.ones(1)))
     pot = quadratic_potential(-np.eye(1), 1.0)      # inverted well
     sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
-    st0 = SemiclassicalState(np.array([0.3]), np.array([0.0]))
+    x0, v0, times = np.array([0.3]), np.array([0.0]), np.array([0.0, 0.01])
     with pytest.raises(ParameterError, match="corrections"):
-        integrate_eom(chart, pot, sched, st0, 0.01, corrections=True)
+        integrate_eom(chart, pot, sched, x0, v0, times, corrections=True)
+    with pytest.raises(ParameterError, match="log sqrt"):
+        integrate_eom(chart, pot, sched, x0, v0, times, log_measure=True)
     with pytest.raises(ParameterError):
         effective_potential_gradient(chart, pot, np.array([0.3]), sched, 0.0, 1.0, True)
-    traj = integrate_eom(chart, pot, sched, st0, 0.01, corrections=False)
-    assert traj.times[-1] == 0.01 and traj.positions[-1, 0].real > 0.3
+    traj = integrate_eom(chart, pot, sched, x0, v0, times)
+    assert traj.times[-1] == 0.01 and traj.positions[-1, 0] > 0.3
 
 
 # -- effective potential -----------------------------------------------------------
@@ -340,33 +356,61 @@ def test_random_instance_structure():
     assert np.array_equal(inst.initial_position, again.initial_position)
 
 
+def study_stack(v0, A, times, gamma, **kw):
+    """integrate_eom on the study's sphere problem, as ``run_instance_study`` calls it."""
+    chart, pot = make_sphere_study_problem(A)
+    return integrate_eom(chart, pot, Schedule.exponential(gamma), v0, np.zeros_like(v0),
+                         times, **kw)
+
+
 def test_batched_complex_path_matches_generic(monkeypatch):
     inst = RandomInstance.draw(5, np.random.default_rng(3))
     times = 0.01 * np.arange(301)
     dense_used = []
     dense = DormandPrince.dense
 
-    def counting_dense(self, ts, cols=slice(None)):
+    def counting_dense(self, ts):
         dense_used.append(len(ts) > 0)
-        return dense(self, ts, cols)
+        return dense(self, ts)
 
     monkeypatch.setattr(DormandPrince, "dense", counting_dense)
-    positions, exit_sample, stats = integrate_sphere_batch(
-        inst.initial_position[None], np.zeros((1, 4)), inst.matrix[None], times, 1.0,
-        corrections=True, log_measure=True)
-    assert positions.dtype == complex and exit_sample[0] == -1
+    batch = study_stack(inst.initial_position[None], inst.matrix[None], times, 1.0,
+                        corrections=True, log_measure=True)
+    stats = batch.stats
+    assert batch.positions.dtype == complex and batch.exit_sample[0] == -1
     # 12 per attempt, 3 extra stages per step whose dense output is used, 2 to start
     assert len(dense_used) == stats.accepted
     assert stats.evaluations == (12 * (stats.accepted + stats.rejected)
                                  + 3 * sum(dense_used) + 2)
-    chart, pot = make_sphere_study_problem(inst)
-    sched = Schedule.exponential(gamma=1.0, eta=1.0, t_end=3.0, dt=1.0)
-    traj = integrate_eom(chart, pot, sched, SemiclassicalState(inst.initial_position,
-                                                               np.zeros(4)),
-                         3.0, corrections=True, dt_ode=1e-3, record_stride=10,
-                         mass=1.0)
-    assert np.abs(traj.times - times).max() < 1e-12
-    assert np.abs(traj.positions - positions[0]).max() < 1e-8
+    # one instance through the unstacked potential of a single matrix
+    traj = study_stack(inst.initial_position, inst.matrix, times, 1.0,
+                       corrections=True, log_measure=True)
+    assert np.array_equal(traj.times, times)
+    assert np.abs(traj.positions - batch.positions[0]).max() < 1e-8
+
+
+def test_point_state_equals_its_row_in_a_stack():
+    chart = SphereStereographicChart(4, 1.0, pole="south", domain=(-4 * np.ones(3),
+                                                                   4 * np.ones(3)))
+    pot = sphere_quadratic_potential(np.diag([1.0, 4.0, 9.0, 16.0]), 1.0, chart)
+    sched = Schedule.exponential(gamma=0.5)
+    times = 0.05 * np.arange(101)
+    pos = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 3))
+    vel = np.zeros_like(pos)
+    stack = integrate_eom(chart, pot, sched, pos, vel, times, corrections=True)
+    assert stack.positions.shape == (3, times.size, 3)
+    assert stack.exit_sample.shape == (3,)
+    for i in range(3):
+        solo = integrate_eom(chart, pot, sched, pos[i], vel[i], times, corrections=True)
+        assert solo.positions.shape == (times.size, 3) and solo.exit_sample.shape == ()
+        # a one-row stack takes the same steps as the point
+        one = integrate_eom(chart, pot, sched, pos[i:i + 1], vel[i:i + 1], times,
+                            corrections=True)
+        assert np.array_equal(one.positions[0], solo.positions)
+        # the stack shares its steps, each row within the tolerance
+        assert np.abs(stack.positions[i] - solo.positions).max() < 1e-8
+    with pytest.raises(ParameterError, match="shape"):
+        integrate_eom(chart, pot, sched, pos, vel[:, :2], times)
 
 
 def test_batch_freezes_ejected_instances_and_matches_solo_runs():
@@ -377,19 +421,18 @@ def test_batch_freezes_ejected_instances_and_matches_solo_runs():
     v0 = np.stack([d.initial_position for d in draws])
     times = 0.01 * np.arange(501)
     kw = dict(corrections=True)
-    positions, exit_sample, _ = integrate_sphere_batch(v0, np.zeros_like(v0), A,
-                                                       times, 0.1, **kw)
+    batch = study_stack(v0, A, times, 0.1, **kw)
+    positions, exit_sample = batch.positions, batch.exit_sample
     ejected = exit_sample >= 0
     assert 0 < ejected.sum() < len(draws)
     for i in range(len(draws)):
-        solo, solo_exit, _ = integrate_sphere_batch(v0[i:i + 1], np.zeros((1, 4)),
-                                                    A[i:i + 1], times, 0.1, **kw)
-        assert solo_exit[0] == exit_sample[i]
+        solo = study_stack(v0[i:i + 1], A[i:i + 1], times, 0.1, **kw)
+        assert solo.exit_sample[0] == exit_sample[i]
         if not ejected[i]:
-            assert np.abs(solo[0] - positions[i]).max() < 1e-8
+            assert np.abs(solo.positions[0] - positions[i]).max() < 1e-8
         else:
             k = exit_sample[i]
-            assert np.abs(solo[0, :k] - positions[i, :k]).max() < 1e-8
+            assert np.abs(solo.positions[0, :k] - positions[i, :k]).max() < 1e-8
             assert np.abs(positions[i, k]).max() > 4.0
             # frozen at the end of the step that left the box
             assert np.array_equal(positions[i, -1], positions[i, -2])
@@ -401,14 +444,14 @@ def test_runaway_imaginary_part_leaves_the_box():
     kid = np.random.SeedSequence(42).spawn(8)[7]
     inst = RandomInstance.draw(5, np.random.default_rng(kid))
     times = 0.01 * np.arange(8490)          # the study's horizon at gamma = 0.1
-    positions, exit_sample, stats = integrate_sphere_batch(
-        inst.initial_position[None], np.zeros((1, 4)), inst.matrix[None], times, 0.1,
-        corrections=True, log_measure=True)
-    k = exit_sample[0]
+    traj = study_stack(inst.initial_position[None], inst.matrix[None], times, 0.1,
+                       corrections=True, log_measure=True)
+    k = traj.exit_sample[0]
     assert k >= 0
-    assert np.abs(positions[0, k].real).max() <= 4.0 < np.abs(positions[0, k].imag).max()
+    assert (np.abs(traj.positions[0, k].real).max() <= 4.0
+            < np.abs(traj.positions[0, k].imag).max())
     # it ran for ~17k accepted steps over the whole horizon before the rule
-    assert stats.accepted < 10_000
+    assert traj.stats.accepted < 10_000
 
 
 @pytest.mark.slow
@@ -421,8 +464,7 @@ def test_study_excludes_runaway_imaginary_part():
 def test_corrections_vanish_once_a_overflows():
     # the study horizon at gamma = 10 is ~57, and a = exp(20 t) overflows past
     # t = 35.5: the corrections, weighted by 1/a and 1/a^2, are then zero
-    with np.errstate(over="ignore"):
-        rep = run_instance_study(5, [10.0], 1, seed=42, corrections=True)
+    rep = run_instance_study(5, [10.0], 1, seed=42, corrections=True)
     assert rep.excluded_count == 0 and rep.runs[0].satisfied
 
 
@@ -432,9 +474,9 @@ def test_non_finite_state_raises_blow_up():
     pot = PotentialField(lambda x: -0.5 * float(x @ x),
                          gradient_fn=lambda x: np.where(x.real > 0.6, np.nan, -x))
     sched = Schedule.exponential(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
-    st0 = SemiclassicalState(np.array([0.5]), np.array([0.0]))
     with pytest.raises(BlowUpError):
-        integrate_eom(chart, pot, sched, st0, 10.0, corrections=False, mass=1.0)
+        integrate_eom(chart, pot, sched, np.array([0.5]), np.array([0.0]),
+                      np.array([0.0, 10.0]))
 
 
 def test_study_smoke_and_determinism():
