@@ -274,13 +274,20 @@ def cmd_evolve(args):
         raise ParameterError("sample_every must be a finite positive time")
     if not (np.isfinite(cfg["mass"]) and cfg["mass"] > 0):
         raise ParameterError("mass must be finite and positive")
+    # each run writes out_dir / name, so a name that is not a plain file name
+    # escapes out_dir and a repeated one overwrites an earlier run
+    names = [spec.get("name", spec.get("kind")) for spec in cfg["charts"]]
+    plain = all(isinstance(n, str) and n not in ("", ".", "..") and not set(n) & set("/\\\0")
+                for n in names)
+    if not (names and plain and len(set(names)) == len(names)):
+        raise ParameterError(f"charts need unique plain file names, got {names}")
     schedule = build_schedule(cfg["schedule"])
     if not all(0.0 <= t <= schedule.t_end for t in cfg["frame_times"]):
         raise ParameterError(f"frame times must lie within [0, t_end = {schedule.t_end}]")
 
     # build everything before creating outputs so bad configs leave no trace
     runs = []
-    for chart_spec in cfg["charts"]:
+    for run_name, chart_spec in zip(names, cfg["charts"]):
         chart = build_chart(chart_spec, cfg["domain"])
         grid = Grid.for_chart(chart, cfg["grid"])
         potential = build_potential(cfg["potential"], cfg["mass"], chart)
@@ -288,7 +295,7 @@ def cmd_evolve(args):
             grid, chart, cfg["initial"]["kind"], seed=cfg["initial"].get("seed"),
             center=cfg["initial"].get("center"), width=cfg["initial"].get("width"),
             smooth_length=cfg["initial"].get("smooth_length"))
-        runs.append((chart_spec.get("name", chart_spec["kind"]), chart, grid, potential, initial))
+        runs.append((run_name, chart, grid, potential, initial))
 
     out_dir = _resolve_out(args, name)
     out_dir.mkdir(parents=True, exist_ok=True)

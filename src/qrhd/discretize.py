@@ -245,9 +245,11 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     the two diagonals of each axis pair.  Boundary rows and columns are zero
     (homogeneous Dirichlet; the wave function is clamped to zero outside).
 
-    Returns the real CSR matrix D.  With W = diag(sqrt(g) * prod h)
-    the product W D is symmetric.  With ``return_weights`` the sqrt(g) node
-    array is returned as well.
+    Returns the real CSR matrix D, canonical with sorted indices.  It stores
+    no zero coupling, but every row stores its diagonal (0 on boundary rows),
+    so H(t) = ck (-D) + diag(...) has D's sparsity pattern.  With
+    W = diag(sqrt(g) * prod h) the product W D is symmetric.  With
+    ``return_weights`` the sqrt(g) node array is returned as well.
     """
     import scipy.sparse as sp  # deferred: `import qrhd` loads no scipy
 
@@ -264,9 +266,8 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     if np.any(sqrt_g <= 0) or not np.all(np.isfinite(sqrt_g)):
         raise SingularMetricError("sqrt(det g) must be positive and finite on the grid")
 
-    interior_flat = ~grid.boundary_mask()
     nodes_nd = nodes.reshape(shape + (dim,))
-    interior = interior_flat.reshape(shape)
+    interior = ~grid.boundary_mask().reshape(shape)
     lin = np.arange(grid.size).reshape(shape)
 
     rows = []
@@ -293,7 +294,7 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
         C = scale * F[:, i, j]
         mA = interior.ravel()[A]
         mB = interior.ravel()[B]
-        both = mA & mB
+        both = mA & mB & (C != 0)
         rows.append(A[both]); cols.append(B[both]); vals.append(C[both])
         rows.append(B[both]); cols.append(A[both]); vals.append(C[both])
         np.subtract.at(center, A[mA], C[mA])
@@ -312,33 +313,15 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
             offset[j] = -1
             add_edges(offset, i, j, -1.0 / denom)
 
-    diag_idx = np.where(interior_flat)[0]
-    rows.append(diag_idx); cols.append(diag_idx); vals.append(center[diag_idx])
-    S = sp.coo_matrix(
+    rows.append(lin.ravel()); cols.append(lin.ravel()); vals.append(center)
+    D = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.size, grid.size),
     ).tocsr()
-    S.sum_duplicates()
-    inv_sg = sp.diags(np.where(interior_flat, 1.0 / sqrt_g, 0.0))
-    D = (inv_sg @ S).tocsr()
+    D.data *= np.repeat(1.0 / sqrt_g, np.diff(D.indptr))
     if return_weights:
         return D, sqrt_g
     return D
-
-
-def hamiltonian_diagonals(chart, grid, potential, mass, include_weyl_correction):
-    """Node arrays of the two diagonals of H(t): (V, dV or None).
-
-    dV is the ordering correction delta_v at the interior nodes and zero on
-    the (clamped) boundary; it is None unless ``include_weyl_correction``.
-    """
-    v_nodes = potential.node_values(grid)
-    if not include_weyl_correction:
-        return v_nodes, None
-    interior = ~grid.boundary_mask()
-    weyl_nodes = np.zeros(grid.size)
-    weyl_nodes[interior], _ = geometry.quantum_corrections(chart, grid.nodes()[interior], mass)
-    return v_nodes, weyl_nodes
 
 
 def spectral_norm(A, tol=1e-6, max_iterations=10_000):

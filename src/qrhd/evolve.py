@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import Grid, assemble_laplace_beltrami, hamiltonian_diagonals
+from . import geometry
+from .discretize import Grid, assemble_laplace_beltrami
 from .errors import ParameterError, ScheduleError, SolverError
 from .semiclassical import crossing_time
 
@@ -99,11 +100,14 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         randomness while leaving the state in the low-energy sector the
         descent dynamics can actually funnel.
     """
+    for key, v in (("width", width), ("smooth_length", smooth_length)):
+        if v is not None and not (0 < v < np.inf):   # NaN fails as well
+            raise ParameterError(f"{key} must be finite and positive, got {v}")
     boundary = grid.boundary_mask()
     if kind == "uniform":
         values = np.ones(grid.size, dtype=complex)
     elif kind == "gaussian":
-        if width is None or width <= 0:
+        if width is None:
             raise ParameterError("gaussian init requires width > 0")
         c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
         d2 = np.sum((grid.nodes() - c) ** 2, axis=1)
@@ -221,8 +225,6 @@ class CrankNicolsonStepper:
 
     def __init__(self, chart, grid, potential, schedule, mass,
                  include_weyl_correction=False):
-        import scipy.sparse as sp
-
         if mass <= 0:
             raise ParameterError("mass must be positive")
         self.chart = chart
@@ -232,22 +234,20 @@ class CrankNicolsonStepper:
         D, sqrt_g = assemble_laplace_beltrami(chart, grid, return_weights=True)
         self.kinetic = -D  # -Delta_g, scaled by ck/(…) later
         self.sqrt_g = sqrt_g
-        self.v_nodes, self.weyl_nodes = hamiltonian_diagonals(
-            chart, grid, potential, mass, include_weyl_correction)
-        # CN left-hand template: structure of K union the full diagonal, so
-        # per-step assembly is two in-place scalar updates of .data.  Each
-        # entry is keyed row * n + col; in row-major order the keys ascend,
-        # so one searchsorted places K's entries and the diagonal.
-        n = grid.size
-        k = self.kinetic.tocoo()
-        k_keys = k.row.astype(np.int64) * n + k.col
-        keys = np.union1d(k_keys, np.arange(n, dtype=np.int64) * (n + 1))
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        self._A = sp.csr_matrix((np.zeros(keys.size, dtype=complex), keys % n, indptr),
-                                shape=(n, n))
-        self._k_data = np.zeros(keys.size)
-        self._k_data[np.searchsorted(keys, k_keys)] = k.data
-        self._diag_pos = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
+        self.v_nodes = potential.node_values(grid)
+        # the ordering correction delta_v at the interior nodes, zero on the
+        # clamped boundary
+        self.weyl_nodes = None
+        if include_weyl_correction:
+            interior = ~grid.boundary_mask()
+            self.weyl_nodes = np.zeros(grid.size)
+            self.weyl_nodes[interior], _ = geometry.quantum_corrections(
+                chart, grid.nodes()[interior], mass)
+        # CN left-hand matrix: K stores every diagonal, so H(t) has K's
+        # pattern and per-step assembly writes .data in place
+        self._A = self.kinetic.astype(complex)
+        rows = np.repeat(np.arange(grid.size), np.diff(self.kinetic.indptr))
+        self._diag_pos = np.flatnonzero(self.kinetic.indices == rows)
         self._fac = None
         self._fac_time = -np.inf
         self.solve_iterations = []
@@ -281,7 +281,7 @@ class CrankNicolsonStepper:
         ck, diag = self.hamiltonian_parts(t_mid)
         theta = 0.5j * dt
         A = self._A
-        np.multiply(self._k_data, theta * ck, out=A.data)
+        np.multiply(self.kinetic.data, theta * ck, out=A.data)
         A.data[self._diag_pos] += 1.0 + theta * diag
         b = values - theta * (ck * (self.kinetic @ values) + diag * values)
         # each refresh drops the stale factor first, so one factor is alive at a time

@@ -324,7 +324,6 @@ class DormandPrince:
             j = int(np.searchsorted(times, self.t, side="right"))
             yield i, j, self.dense(times[i:j])
             i = j
-            i = j
 
 
 # -- trajectory integration ---------------------------------------------------
@@ -351,8 +350,9 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
 
     A row is frozen at the end of the accepted step in which a component of
     Re p leaves the chart box [lo, hi] or one of |Im p| exceeds the box's
-    half-width (hi - lo) / 2, or at the start if it starts outside; ``exit_sample`` is its first sample outside the box (or
-    non-finite), -1 if none.  A non-finite live row raises ``BlowUpError``.
+    half-width (hi - lo) / 2, or at the start if it starts outside;
+    ``exit_sample`` is its first sample outside the box (or non-finite), -1
+    if none.  A non-finite live row raises ``BlowUpError``.
     """
     dtype = complex if log_measure else float
     pos = np.asarray(position, dtype=dtype)

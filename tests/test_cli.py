@@ -133,6 +133,15 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
       for key, v in (("eta", float("nan")), ("gamma", float("nan")),
                      ("gamma", float("inf")), ("dt", float("nan")),
                      ("t_end", float("inf")))),
+    pytest.param({"charts": []}, id="no_charts"),
+    *(pytest.param({"charts": [dict(SMALL_EVOLVE["charts"][0], name=n) for n in names]},
+                   id=f"chart_names={label}")
+      for label, names in (("escaping", ["../escaped"]), ("dotdot", [".."]), ("dot", ["."]),
+                           ("empty", [""]), ("slash", ["a/b"]), ("backslash", ["a\\b"]),
+                           ("repeated", ["a", "a"]))),
+    *(pytest.param({"initial": dict(SMALL_EVOLVE["initial"], smooth_length=v)},
+                   id=f"smooth_length={v}") for v in (-0.3, float("inf"), float("nan"))),
+    pytest.param({"initial": {"kind": "gaussian", "width": float("nan")}}, id="width=nan"),
 ])
 def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_EVOLVE, **change})
@@ -140,6 +149,7 @@ def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change)
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
     assert_one_json_error(capsys)
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("a_expr, dt, kind", [

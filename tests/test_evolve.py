@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrhd import (
+    ConstantChart,
     CrankNicolsonStepper,
     FlatChart,
     Grid,
@@ -72,6 +73,31 @@ def test_init_state_validation():
         init_state(grid, chart, "gaussian", width=0.0)
     with pytest.raises(ParameterError):
         init_state(grid, chart, "no-such-kind")
+    for bad in (-0.3, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            init_state(grid, chart, "gaussian", width=bad)
+        with pytest.raises(ParameterError):
+            init_state(grid, chart, "random-smooth", seed=1, smooth_length=bad)
+
+
+@pytest.mark.parametrize("chart", [SphereStereographicChart(3, 1.0, pole="south"),
+                                   ConstantChart(A1)], ids=["sphere", "constant"])
+def test_kinetic_matrix_carries_the_crank_nicolson_pattern(chart):
+    grid = Grid.for_chart(chart, 9)
+    D = assemble_laplace_beltrami(chart, grid)
+    rows = np.repeat(np.arange(grid.size), np.diff(D.indptr))
+    assert np.all(np.diff(rows * grid.size + D.indices) > 0)   # sorted, no duplicates
+    on_diag = D.indices == rows
+    assert np.array_equal(rows[on_diag], np.arange(grid.size))  # one diagonal per row
+    assert np.all(D.data[on_diag][grid.boundary_mask()] == 0)
+    assert np.all(D.data[~on_diag] != 0)
+
+    pot = quadratic_potential(np.eye(2), 0.1)
+    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
+    stepper.step(init_state(grid, chart, "random", seed=1).values, 0.0, 0.01)
+    assert np.array_equal(stepper._A.indptr, stepper.kinetic.indptr)
+    assert np.array_equal(stepper._A.indices, stepper.kinetic.indices)
 
 
 def test_stepper_step_matches_dense_cayley_solve():
