@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import copy
 import json
 import os
@@ -107,21 +108,59 @@ BUILTIN_CONFIGS = {
 }
 
 
-def load_config(spec):
-    """Resolve a --config value: builtin name or JSON file path."""
-    if spec in BUILTIN_CONFIGS:
-        return copy.deepcopy(BUILTIN_CONFIGS[spec]), spec
-    path = Path(spec)
-    if not path.exists():
+# sections that must be JSON objects wherever a config has them
+_OBJECT_SECTIONS = ("domain", "schedule", "potential", "initial", "t_star")
+
+
+def load_config(spec, experiment, required=(), overrides=None):
+    """The one front door for configs: resolve ``spec`` (builtin name, JSON
+    path, or None for flags alone), apply the flag ``overrides`` and check."""
+    if spec is None:
+        cfg, name = {"experiment": experiment}, "study"
+    elif spec in BUILTIN_CONFIGS:
+        cfg, name = copy.deepcopy(BUILTIN_CONFIGS[spec]), spec
+    elif not Path(spec).is_file():
         raise ParameterError(f"config {spec!r} is neither a builtin name nor a file")
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"malformed config {spec}: {exc}") from exc
+    else:
+        try:
+            with open(spec) as fh:
+                cfg, name = json.load(fh), Path(spec).stem
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ParameterError(f"malformed config {spec}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError("config must be a JSON object")
-    return cfg, path.stem
+    cfg.update(overrides or {})
+    if cfg.get("experiment") != experiment:
+        raise ParameterError(f"config is not a {experiment!r} experiment")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ParameterError(f"{experiment} config missing {missing}")
+    for key in _OBJECT_SECTIONS:
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ParameterError(f"{key} must be a JSON object")
+    charts = cfg.get("charts")
+    if "charts" in cfg and not (isinstance(charts, list) and charts
+                                and all(isinstance(c, dict) for c in charts)):
+        raise ParameterError("charts must be a non-empty list of JSON objects")
+    return cfg, name
+
+
+@contextlib.contextmanager
+def _reading(section):
+    """A wrong type, shape or size met while reading ``section`` is a ParameterError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{section}: {type(exc).__name__}: {exc}") from exc
+
+
+def _check_types(cfg, counts=(), flags=()):
+    for key in counts:
+        if type(cfg[key]) is not int or cfg[key] < 0:
+            raise ParameterError(f"{key} must be a non-negative integer, got {cfg[key]!r}")
+    for key in flags:
+        if not isinstance(cfg[key], bool):
+            raise ParameterError(f"{key} must be true or false, got {cfg[key]!r}")
 
 
 def build_chart(spec, domain=None):
@@ -142,13 +181,18 @@ def build_chart(spec, domain=None):
 
 def build_potential(spec, mass, chart):
     kind = spec.get("kind")
-    if kind == "quadratic":
-        return quadratic_potential(np.asarray(spec["matrix"], dtype=float), mass)
-    if kind == "sphere_quadratic":
-        if not isinstance(chart, SphereStereographicChart):
-            raise ParameterError("sphere_quadratic potential needs a sphere chart")
-        return sphere_quadratic_potential(np.asarray(spec["matrix"], dtype=float), mass, chart)
-    raise ParameterError(f"unknown potential kind {kind!r}")
+    sphere = kind == "sphere_quadratic"
+    if not (sphere or kind == "quadratic"):
+        raise ParameterError(f"unknown potential kind {kind!r}")
+    if sphere and not isinstance(chart, SphereStereographicChart):
+        raise ParameterError("sphere_quadratic potential needs a sphere chart")
+    matrix = np.asarray(spec["matrix"], dtype=float)
+    n = chart.ambient_dim if sphere else chart.dim
+    if matrix.shape != (n, n):
+        raise ParameterError(f"{kind} potential needs an {n}x{n} matrix, got shape {matrix.shape}")
+    if sphere:
+        return sphere_quadratic_potential(matrix, mass, chart)
+    return quadratic_potential(matrix, mass)
 
 
 _EXPR_FUNCTIONS = {"exp": np.exp, "cosh": np.cosh, "sqrt": np.sqrt, "log": np.log}
@@ -198,10 +242,13 @@ def build_schedule(spec):
             # numpy stays silent: a non-finite a(t) is rejected where it is used
             try:
                 with np.errstate(all="ignore"):
-                    return float(eval(_code, {"__builtins__": {}},
-                                      dict(_EXPR_FUNCTIONS, **_EXPR_CONSTANTS, t=t)))
+                    a = eval(_code, {"__builtins__": {}},
+                             dict(_EXPR_FUNCTIONS, **_EXPR_CONSTANTS, t=t))
             except ArithmeticError as exc:
                 raise ScheduleError(f"a_expr raises {type(exc).__name__} at t={t}") from None
+            if isinstance(a, complex):
+                raise ScheduleError(f"a_expr is not real at t={t}: {a}")
+            return float(a)
 
         return Schedule(a=a_fn, eta=float(spec.get("eta", 1.0)),
                         t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
@@ -245,69 +292,81 @@ def _write_csv(path, header, columns):
 
 
 def _effective_evolve_config(cfg):
-    out = copy.deepcopy(cfg)
-    out.setdefault("sample_every", 0.1)
-    out.setdefault("frame_times", [])
-    out.setdefault("weyl_correction", False)
-    init = out.setdefault("initial", {})
-    init.setdefault("kind", "random-smooth")
-    init.setdefault("seed", 42)
+    out = {"sample_every": 0.1, "frame_times": [], "weyl_correction": False, **cfg}
+    init = out["initial"] = {"kind": "random-smooth", "seed": 42, **out.get("initial", {})}
     if init["kind"] == "random-smooth":
         lo = np.asarray(out["domain"]["lo"], dtype=float)
         hi = np.asarray(out["domain"]["hi"], dtype=float)
         init.setdefault("smooth_length", float(np.min(hi - lo) / 16.0))
-    out["schedule"].setdefault("dt", 0.005)
+    out["schedule"] = {"dt": 0.005, **out["schedule"]}
     return out
 
 
-def cmd_evolve(args):
-    cfg, name = load_config(args.config)
-    if cfg.get("experiment") != "evolve":
-        raise ParameterError("config is not an 'evolve' experiment")
-    cfg = _effective_evolve_config(cfg)
-    if args.seed is not None:
-        cfg["initial"]["seed"] = args.seed
-    for key in ("charts", "domain", "grid", "schedule", "potential", "mass"):
-        if key not in cfg:
-            raise ParameterError(f"evolve config missing {key!r}")
-    if not (np.isfinite(cfg["sample_every"]) and cfg["sample_every"] > 0):
-        raise ParameterError("sample_every must be a finite positive time")
-    if not (np.isfinite(cfg["mass"]) and cfg["mass"] > 0):
+def _read_charts(cfg):
+    """The mass and every chart's (name, chart, grid, potential), read from cfg."""
+    with _reading("mass"):
+        mass = float(cfg["mass"])
+    if not (np.isfinite(mass) and mass > 0):
         raise ParameterError("mass must be finite and positive")
-    # each run writes out_dir / name, so a name that is not a plain file name
-    # escapes out_dir and a repeated one overwrites an earlier run
+    # each evolve run writes out_dir / name, so a name that is not a plain file
+    # name escapes out_dir and a repeated one overwrites an earlier run
     names = [spec.get("name", spec.get("kind")) for spec in cfg["charts"]]
     plain = all(isinstance(n, str) and n not in ("", ".", "..") and not set(n) & set("/\\\0")
                 for n in names)
-    if not (names and plain and len(set(names)) == len(names)):
+    if not (plain and len(set(names)) == len(names)):
         raise ParameterError(f"charts need unique plain file names, got {names}")
-    schedule = build_schedule(cfg["schedule"])
-    if not all(0.0 <= t <= schedule.t_end for t in cfg["frame_times"]):
-        raise ParameterError(f"frame times must lie within [0, t_end = {schedule.t_end}]")
-
-    # build everything before creating outputs so bad configs leave no trace
     runs = []
     for run_name, chart_spec in zip(names, cfg["charts"]):
-        chart = build_chart(chart_spec, cfg["domain"])
-        grid = Grid.for_chart(chart, cfg["grid"])
-        potential = build_potential(cfg["potential"], cfg["mass"], chart)
-        initial = init_state(
-            grid, chart, cfg["initial"]["kind"], seed=cfg["initial"].get("seed"),
-            center=cfg["initial"].get("center"), width=cfg["initial"].get("width"),
-            smooth_length=cfg["initial"].get("smooth_length"))
+        with _reading(f"chart {run_name!r} or domain"):
+            chart = build_chart(chart_spec, cfg["domain"])
+        with _reading("grid"):
+            grid = Grid.for_chart(chart, cfg["grid"])
+        with _reading("potential"):
+            potential = build_potential(cfg["potential"], mass, chart)
+        runs.append((run_name, chart, grid, potential))
+    return mass, runs
+
+
+def cmd_evolve(args):
+    cfg, name = load_config(args.config, "evolve",
+                            ("charts", "domain", "grid", "schedule", "potential", "mass"))
+    with _reading("domain"):
+        cfg = _effective_evolve_config(cfg)
+    init = cfg["initial"]
+    if args.seed is not None:
+        init["seed"] = args.seed
+    _check_types(init, counts=["seed"])
+    _check_types(cfg, flags=["weyl_correction"])
+    with _reading("schedule"):
+        schedule = build_schedule(cfg["schedule"])
+    t_end = schedule.t_end
+    with _reading("sample_every and frame_times"):
+        sample_every = float(cfg["sample_every"])
+        frame_times = [float(t) for t in cfg["frame_times"]]
+    if not (0 < sample_every < np.inf and np.isfinite(t_end / sample_every)):
+        raise ParameterError("sample_every must be finite, positive and not too small")
+    if not all(0.0 <= t <= t_end for t in frame_times):
+        raise ParameterError(f"frame times must lie within [0, t_end = {t_end}]")
+    n_samp = max(1, int(round(t_end / sample_every)))
+    sample_times = [k * t_end / n_samp for k in range(n_samp + 1)]
+
+    # read everything before creating outputs so bad configs leave no trace
+    mass, charts = _read_charts(cfg)
+    runs = []
+    for run_name, chart, grid, potential in charts:
+        with _reading("initial"):
+            initial = init_state(grid, chart, init["kind"], seed=init["seed"],
+                                 center=init.get("center"), width=init.get("width"),
+                                 smooth_length=init.get("smooth_length"))
         runs.append((run_name, chart, grid, potential, initial))
 
     out_dir = _resolve_out(args, name)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t_end = schedule.t_end
-    n_samp = max(1, int(round(t_end / cfg["sample_every"])))
-    sample_times = [k * t_end / n_samp for k in range(n_samp + 1)]
-
     summary = {}
     for run_name, chart, grid, potential, initial in runs:
         trace = evolve(chart, grid, potential, schedule, initial,
-                       sample_times=sample_times, frame_times=cfg["frame_times"],
-                       include_weyl_correction=cfg["weyl_correction"], mass=cfg["mass"])
+                       sample_times=sample_times, frame_times=frame_times,
+                       include_weyl_correction=cfg["weyl_correction"], mass=mass)
         rdir = out_dir / run_name
         rdir.mkdir(exist_ok=True)
         dim = grid.dim
@@ -338,31 +397,22 @@ def cmd_evolve(args):
 
 
 def cmd_semiclassical(args):
-    if args.config:
-        cfg, name = load_config(args.config)
-        if cfg.get("experiment") != "semiclassical":
-            raise ParameterError("config is not a 'semiclassical' experiment")
-    else:
-        cfg, name = {"experiment": "semiclassical"}, "study"
-    if args.dim is not None:
-        cfg["dim"] = args.dim
+    flags = {"dim": args.dim, "instances": args.instances, "seed": args.seed}
     if args.gammas is not None:
-        cfg["gammas"] = [float(g) for g in args.gammas.split(",")]
-    if args.instances is not None:
-        cfg["instances"] = args.instances
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    for key in ("dim", "gammas", "instances", "seed"):
-        if key not in cfg:
-            raise ParameterError(f"semiclassical study missing {key!r}")
-    cfg.setdefault("epsilon_star", 0.01)
-    cfg.setdefault("lambda_eff", 3.0)
-    cfg.setdefault("corrections", False)
-    cfg.setdefault("log_measure", False)
+        with _reading("--gammas"):
+            flags["gammas"] = [float(g) for g in args.gammas.split(",")]
+    cfg, name = load_config(args.config, "semiclassical", ("dim", "gammas", "instances", "seed"),
+                            {key: v for key, v in flags.items() if v is not None})
+    cfg = {"epsilon_star": 0.01, "lambda_eff": 3.0, "corrections": False, "log_measure": False,
+           **cfg}
+    _check_types(cfg, counts=["dim", "instances", "seed"], flags=["corrections", "log_measure"])
+    with _reading("gammas, epsilon_star and lambda_eff"):
+        gammas = [float(g) for g in cfg["gammas"]]
+        epsilon_star, lambda_eff = float(cfg["epsilon_star"]), float(cfg["lambda_eff"])
 
     report = run_instance_study(
-        cfg["dim"], cfg["gammas"], cfg["instances"], cfg["seed"],
-        epsilon_star=cfg["epsilon_star"], lambda_eff=cfg["lambda_eff"],
+        cfg["dim"], gammas, cfg["instances"], cfg["seed"],
+        epsilon_star=epsilon_star, lambda_eff=lambda_eff,
         corrections=cfg["corrections"], log_measure=cfg["log_measure"])
 
     out_dir = _resolve_out(args, name)
@@ -401,46 +451,42 @@ def cmd_bound(args):
 
 
 def cmd_complexity(args):
-    cfg, name = load_config(args.config)
-    if cfg.get("experiment") != "complexity":
-        raise ParameterError("config is not a 'complexity' experiment")
-    for key in ("charts", "domain", "grid", "mass", "schedule", "potential",
-                "epsilon", "delta", "t_star"):
-        if key not in cfg:
-            raise ParameterError(f"complexity config missing {key!r}")
-
-    eps_star = float(cfg["t_star"].get("epsilon_star", 0.05))
+    cfg, name = load_config(args.config, "complexity",
+                            ("charts", "domain", "grid", "mass", "schedule", "potential",
+                             "epsilon", "delta", "t_star"))
+    src = cfg["t_star"].get("source")
+    if src not in ("bound", "measured"):
+        raise ParameterError("t_star source must be 'bound' or 'measured'")
+    with _reading("epsilon, delta, schedule eta and t_star epsilon_star"):
+        epsilon, delta = float(cfg["epsilon"]), float(cfg["delta"])
+        eta = float(cfg["schedule"].get("eta", 1.0))
+        eps_star = float(cfg["t_star"].get("epsilon_star", 0.05))
+    if not 0.0 < eps_star <= 1.0:
+        raise ParameterError("t_star epsilon_star must lie in (0, 1]")
     representation = cfg.get("alpha_representation", "momentum")
+    mass, charts = _read_charts(cfg)
+    key = "lambda_eff" if src == "bound" else "values"   # each keyed by chart name
+    with _reading(f"t_star {key}"):
+        t_star_inputs = [float(cfg["t_star"][key][cname]) for cname, *_ in charts]
+    if not all(0.0 < v < np.inf for v in t_star_inputs):
+        raise ParameterError(f"t_star inputs must be finite and positive, got {t_star_inputs}")
+
     factor = -lambert_w_minus1(-eps_star / np.e) - 1.0
     reports = {}
-    for chart_spec in cfg["charts"]:
-        cname = chart_spec.get("name", chart_spec["kind"])
-        chart = build_chart(chart_spec, cfg["domain"])
-        grid = Grid.for_chart(chart, cfg["grid"])
-        potential = build_potential(cfg["potential"], cfg["mass"], chart)
-        sched_cfg = dict(cfg["schedule"])
-        src = cfg["t_star"]["source"]
+    for (cname, chart, grid, potential), value in zip(charts, t_star_inputs):
         if src == "bound":
-            lam = cfg["t_star"]["lambda_eff"][cname]
-            T, gamma_opt = convergence_bound(lam, sched_cfg.get("eta", 1.0),
-                                             cfg["mass"], eps_star)
-            gamma_used = gamma_opt
-        elif src == "measured":
-            T = float(cfg["t_star"]["values"][cname])
+            T, gamma_used = convergence_bound(value, eta, mass, eps_star)
+        else:
             # the T ~ 1/gamma regime of the cost model: match the schedule
             # to the measured time scale
-            gamma_used = factor / T
-        else:
-            raise ParameterError("t_star source must be 'bound' or 'measured'")
-        sched = Schedule.exponential(gamma=gamma_used, eta=sched_cfg.get("eta", 1.0),
-                                     t_end=max(T, 1e-6), dt=1e-3)
-        alpha = kinetic_norm_bound(chart, grid, cfg["mass"], sched,
-                                   representation=representation)
+            T, gamma_used = value, factor / value
+        sched = Schedule.exponential(gamma=gamma_used, eta=eta, t_end=max(T, 1e-6), dt=1e-3)
+        alpha = kinetic_norm_bound(chart, grid, mass, sched, representation=representation)
         D = assemble_laplace_beltrami(chart, grid)
         v_max = float(np.max(np.abs(potential.node_values(grid))))
         inputs = ComplexityInputs(alpha_h=alpha, v_max=v_max, schedule=sched,
                                   T=T, sparsity=measured_sparsity(D),
-                                  epsilon=cfg["epsilon"], delta=cfg["delta"])
+                                  epsilon=epsilon, delta=delta)
         rep = query_count(inputs)
         reports[cname] = dict(rep.to_dict(), t_star_source=src, gamma_used=gamma_used,
                               alpha_representation=representation)
@@ -523,20 +569,15 @@ def _geometry_checks(chart):
 
 
 def cmd_geometry_check(args):
-    spec = {"kind": args.kind}
-    if args.kind == "flat":
-        if args.dim is None:
-            raise ParameterError("flat chart needs --dim")
-        spec["dim"] = args.dim
-    elif args.kind == "constant":
-        if not args.matrix:
-            raise ParameterError("constant chart needs --matrix")
-        spec["matrix"] = json.loads(args.matrix)
-    elif args.kind == "sphere":
-        if args.dim is None:
-            raise ParameterError("sphere chart needs --dim (ambient dimension)")
-        spec.update(ambient_dim=args.dim, radius=args.radius, pole=args.pole)
-    chart = build_chart(spec)
+    flag = "--matrix" if args.kind == "constant" else "--dim"
+    if getattr(args, flag[2:]) is None:
+        raise ParameterError(f"{args.kind} chart needs {flag}")
+    spec = dict(kind=args.kind, dim=args.dim, ambient_dim=args.dim, radius=args.radius,
+                pole=args.pole)
+    with _reading(flag):
+        if args.kind == "constant":
+            spec["matrix"] = json.loads(args.matrix)
+        chart = build_chart(spec)
     checks = _geometry_checks(chart)
     failed = 0
     print(f"{'check':36s} {'worst':>12s} {'tolerance':>10s}  status")
@@ -591,19 +632,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParameterError, KeyError, TypeError, ValueError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except NumericError as exc:
+    except (ParameterError, NumericError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         residual = getattr(exc, "residual", None)
         if residual:
             # JSON has no NaN or Infinity: a non-finite residual is written as null
             error["residual"] = residual if np.isfinite(residual) else None
-        json.dump(error, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        print(json.dumps(error), file=sys.stderr)
+        return 2 if isinstance(exc, ParameterError) else 3
 
 
 if __name__ == "__main__":

@@ -197,8 +197,9 @@ class Schedule:
     """Time-dependent coefficients a(t), eta(t) and friction gamma.
 
     ``gamma`` is meaningful when a(t) = exp(2 gamma t); the exponential
-    schedule is the package default.  Non-finite gamma, dt, t_end or eta(0)
-    are a ``ParameterError``; every comparison is written so NaN fails it.
+    schedule is the package default.  Non-finite gamma, dt, t_end, eta(0) or
+    step count t_end / dt are a ``ParameterError``; every comparison is
+    written so NaN fails it.
     """
 
     a: object
@@ -210,8 +211,9 @@ class Schedule:
     def __post_init__(self):
         if not (0 < self.dt < np.inf):
             raise ParameterError(f"dt must be finite and positive, got {self.dt}")
-        if not (self.dt <= self.t_end < np.inf):
-            raise ParameterError(f"t_end must be finite and at least dt, got {self.t_end}")
+        if not (self.dt <= self.t_end < np.inf and np.isfinite(self.t_end / self.dt)):
+            raise ParameterError(f"t_end must be at least dt and a finite number of steps "
+                                 f"of dt = {self.dt}, got {self.t_end}")
         if not (np.isfinite(self.gamma) and np.isfinite(self.eta_at(0.0))):
             raise ParameterError("gamma and eta(0) must be finite")
         if not (0 < self.a_at(0.0) < np.inf):

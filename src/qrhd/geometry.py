@@ -285,8 +285,8 @@ class SphereStereographicChart(MetricChart):
     def __init__(self, ambient_dim, radius=1.0, pole="south", domain=None):
         if ambient_dim < 2:
             raise ParameterError("ambient dimension must be >= 2")
-        if radius <= 0:
-            raise ParameterError("sphere radius must be positive")
+        if not (0 < radius < np.inf):   # NaN fails as well
+            raise ParameterError(f"sphere radius must be finite and positive, got {radius}")
         if pole not in ("north", "south"):
             raise ParameterError("pole must be 'north' or 'south'")
         dim = ambient_dim - 1

@@ -588,8 +588,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     """
     if dim < 2:
         raise ParameterError("study dimension must be >= 2")
-    if not all(np.isfinite(gamma) and gamma > 0 for gamma in gammas):
-        raise ParameterError(f"every gamma must be finite and positive, got {list(gammas)}")
+    if not (len(gammas) and all(np.isfinite(gamma) and gamma > 0 for gamma in gammas)):
+        raise ParameterError(f"need gammas, each finite and positive, got {list(gammas)}")
     if instances < 1:
         raise ParameterError(f"need at least one instance, got {instances}")
     seed_seq = np.random.SeedSequence(seed)

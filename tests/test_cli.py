@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrhd.cli
+import qrhd.errors
 from qrhd import EvolutionTrace, ParameterError
 from qrhd.cli import BUILTIN_CONFIGS, _write_csv, build_schedule, load_config, main
 
@@ -27,6 +33,27 @@ SMALL_EVOLVE = {
     "frame_times": [0.0, 1.0],
 }
 
+SMALL_COMPLEXITY = {
+    "experiment": "complexity",
+    "mass": 0.1,
+    "grid": 9,
+    "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    "potential": {"kind": "quadratic", "matrix": [[1.0, -0.9], [-0.9, 1.0]]},
+    "charts": [
+        {"name": "qhd_flat", "kind": "flat", "dim": 2},
+        {"name": "qrhd_metric", "kind": "constant",
+         "matrix": [[1.0, -0.9], [-0.9, 1.0]]},
+    ],
+    "schedule": {"eta": 0.1, "t_end": 24.0},
+    "epsilon": 0.001,
+    "delta": 0.05,
+    "t_star": {"source": "bound", "epsilon_star": 0.05,
+               "lambda_eff": {"qhd_flat": 0.01, "qrhd_metric": 0.1}},
+}
+
+SMALL_STUDY = {"experiment": "semiclassical", "dim": 3, "gammas": [5.0], "instances": 2,
+               "seed": 1}
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -36,7 +63,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def test_builtin_configs_resolve_and_roundtrip():
     for name in ("flat_demo", "sphere_demo", "study_n5", "study_n9"):
-        cfg, resolved = load_config(name)
+        cfg, resolved = load_config(name, BUILTIN_CONFIGS[name]["experiment"])
         assert resolved == name
         # emit -> parse -> identical
         assert json.loads(json.dumps(cfg)) == cfg
@@ -110,15 +137,20 @@ def assert_one_json_error(capsys, kind="ParameterError"):
     assert strict_json(lines[0])["error"] == kind
 
 
-@pytest.mark.parametrize("gammas, instances", [
-    *(pytest.param(g, "2", id=g) for g in ("0", "-1", "1,inf", "nan")),
-    *(pytest.param("1", n, id=f"instances={n}") for n in ("-2", "0")),
+@pytest.mark.parametrize("case", [
+    *(pytest.param(["--gammas", g, "--instances", "2"], id=g)
+      for g in ("0", "-1", "1,inf", "nan")),
+    *(pytest.param(["--gammas", "1", "--instances", n], id=f"instances={n}")
+      for n in ("-2", "0")),
+    # values the flags cannot carry, from a config
+    pytest.param(dict(SMALL_STUDY, gammas=[]), id="gammas=[]"),
+    pytest.param(dict(SMALL_STUDY, seed=None), id="seed=null"),
 ])
-def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path, capsys,
-                                                                       gammas, instances):
+def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path, capsys, case):
+    args = (["--config", write_config(tmp_path, case)] if isinstance(case, dict)
+            else ["--dim", "5", "--seed", "1", *case])
     out = tmp_path / "never"
-    assert main(["semiclassical", "--dim", "5", "--gammas", gammas, "--instances", instances,
-                 "--seed", "1", "--out", str(out)]) == 2
+    assert main(["semiclassical", *args, "--out", str(out)]) == 2
     assert_one_json_error(capsys)
     assert not out.exists()
 
@@ -132,7 +164,7 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
                    id=f"{key}={v}")
       for key, v in (("eta", float("nan")), ("gamma", float("nan")),
                      ("gamma", float("inf")), ("dt", float("nan")),
-                     ("t_end", float("inf")))),
+                     ("t_end", float("inf")), ("t_end", 1e308))),
     pytest.param({"charts": []}, id="no_charts"),
     *(pytest.param({"charts": [dict(SMALL_EVOLVE["charts"][0], name=n) for n in names]},
                    id=f"chart_names={label}")
@@ -142,6 +174,7 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
     *(pytest.param({"initial": dict(SMALL_EVOLVE["initial"], smooth_length=v)},
                    id=f"smooth_length={v}") for v in (-0.3, float("inf"), float("nan"))),
     pytest.param({"initial": {"kind": "gaussian", "width": float("nan")}}, id="width=nan"),
+    pytest.param({"initial": dict(SMALL_EVOLVE["initial"], seed=None)}, id="seed=null"),
 ])
 def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_EVOLVE, **change})
@@ -154,9 +187,9 @@ def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change)
 
 @pytest.mark.parametrize("a_expr, dt, kind", [
     # 1/t fails at t = 0; the others in one step, whose midpoint t = 0.75 is past
-    # the overflow of a(t)
+    # the overflow of a(t), or past t = 0.5, where a(t) turns complex
     *(pytest.param(a, 1.5, "ScheduleError", id=a)
-      for a in ("1/t", "2**(2000*t)", "exp(1000*t)")),
+      for a in ("1/t", "2**(2000*t)", "exp(1000*t)", "(0.5 - t)**0.5 + 1")),
     # at t = 0.365, a(t) = 3e158 is finite, but the norms of the CN vectors overflow
     pytest.param("exp(1000*t)", 0.01, "SolverError", id="exp(1000*t)-small-steps"),
 ])
@@ -224,24 +257,7 @@ def test_bound_command(capsys):
 
 
 def test_complexity_command(tmp_path):
-    cfg = {
-        "experiment": "complexity",
-        "mass": 0.1,
-        "grid": 32,
-        "domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-        "potential": {"kind": "quadratic", "matrix": [[1.0, -0.9], [-0.9, 1.0]]},
-        "charts": [
-            {"name": "qhd_flat", "kind": "flat", "dim": 2},
-            {"name": "qrhd_metric", "kind": "constant",
-             "matrix": [[1.0, -0.9], [-0.9, 1.0]]},
-        ],
-        "schedule": {"eta": 0.1, "t_end": 24.0},
-        "epsilon": 0.001,
-        "delta": 0.05,
-        "t_star": {"source": "bound", "epsilon_star": 0.05,
-                   "lambda_eff": {"qhd_flat": 0.01, "qrhd_metric": 0.1}},
-    }
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, dict(SMALL_COMPLEXITY, grid=32))
     out = tmp_path / "cx"
     assert main(["complexity", "--config", path, "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
@@ -251,6 +267,60 @@ def test_complexity_command(tmp_path):
     for key in ("alpha_h", "beta_h", "schedule_integral", "dyson_factor",
                 "n_query_a", "n_query_ub", "n_query_total", "log_delta"):
         assert key in r
+
+
+def test_complexity_rejects_an_empty_chart_list(tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = write_config(tmp_path, dict(SMALL_COMPLEXITY, charts=[]))
+    assert main(["complexity", "--config", cfg, "--out", str(out)]) == 2
+    assert_one_json_error(capsys)
+    assert not out.exists()
+
+
+FUZZ_VALUES = [None, "x", "", -1, 0, 0.5, 3, [], [1], {}, {"a": 1}, float("nan"), True]
+
+
+def field_paths(cfg, prefix=()):
+    """Every field of a config: the keys of each object, and each chart entry."""
+    items = (cfg.items() if isinstance(cfg, dict)
+             else enumerate(cfg) if isinstance(cfg, list) and cfg and isinstance(cfg[0], dict)
+             else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+FUZZ_FIELDS = [(command, base, path)
+               for command, base in (("evolve", dict(SMALL_EVOLVE, grid=9, frame_times=[0.0],
+                                                     schedule=dict(SMALL_EVOLVE["schedule"],
+                                                                   t_end=0.04))),
+                                     ("complexity", SMALL_COMPLEXITY),
+                                     ("semiclassical", SMALL_STUDY))
+               for path in field_paths(base)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
+def test_one_field_mutations_exit_0_2_or_3_with_a_typed_error(field, value):
+    command, base, path = field
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", write_config(Path(tmp), cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not out.exists()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        error = getattr(qrhd.errors, strict_json(lines[0])["error"])
+        assert issubclass(error, qrhd.errors.QrhdError)
 
 
 def test_geometry_check_commands(capsys):
