@@ -231,11 +231,10 @@ def _compile_schedule_expr(expr):
 
 
 def build_schedule(spec):
-    if "gamma" in spec:
-        return Schedule.exponential(
-            gamma=float(spec["gamma"]), eta=float(spec.get("eta", 1.0)),
-            t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
-    if "a_expr" in spec:
+    if "gamma" not in spec and "a_expr" not in spec:
+        raise ParameterError("schedule needs either 'gamma' or 'a_expr'")
+    a_fn = None
+    if "gamma" not in spec:
         code = _compile_schedule_expr(spec["a_expr"])
 
         def a_fn(t, _code=code):
@@ -250,9 +249,8 @@ def build_schedule(spec):
                 raise ScheduleError(f"a_expr is not real at t={t}: {a}")
             return float(a)
 
-        return Schedule(a=a_fn, eta=float(spec.get("eta", 1.0)),
-                        t_end=float(spec["t_end"]), dt=float(spec.get("dt", 0.005)))
-    raise ParameterError("schedule needs either 'gamma' or 'a_expr'")
+    return Schedule(float(spec.get("gamma", 0.0)), float(spec.get("eta", 1.0)),
+                    float(spec["t_end"]), float(spec.get("dt", 0.005)), a_fn)
 
 
 def _resolve_out(args, default_name):
@@ -343,8 +341,10 @@ def cmd_evolve(args):
     with _reading("sample_every and frame_times"):
         sample_every = float(cfg["sample_every"])
         frame_times = [float(t) for t in cfg["frame_times"]]
-    if not (0 < sample_every < np.inf and np.isfinite(t_end / sample_every)):
-        raise ParameterError("sample_every must be finite, positive and not too small")
+    # at least dt, so the sample list is no longer than the step count
+    if not (schedule.dt <= sample_every < np.inf):
+        raise ParameterError(f"sample_every must be finite and at least dt = {schedule.dt}, "
+                             f"got {sample_every}")
     if not all(0.0 <= t <= t_end for t in frame_times):
         raise ParameterError(f"frame times must lie within [0, t_end = {t_end}]")
     n_samp = max(1, int(round(t_end / sample_every)))
@@ -480,7 +480,7 @@ def cmd_complexity(args):
             # the T ~ 1/gamma regime of the cost model: match the schedule
             # to the measured time scale
             T, gamma_used = value, factor / value
-        sched = Schedule.exponential(gamma=gamma_used, eta=eta, t_end=max(T, 1e-6), dt=1e-3)
+        sched = Schedule(gamma_used, eta, max(T, 1e-6), 1e-3)
         alpha = kinetic_norm_bound(chart, grid, mass, sched, representation=representation)
         D = assemble_laplace_beltrami(chart, grid)
         v_max = float(np.max(np.abs(potential.node_values(grid))))

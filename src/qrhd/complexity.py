@@ -19,14 +19,14 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .discretize import assemble_laplace_beltrami, spectral_norm
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 
 
 @dataclass
 class ComplexityInputs:
     alpha_h: float          # max_t norm of the kinetic term
     v_max: float            # max of the potential over the domain
-    schedule: object        # Schedule (a, eta, gamma)
+    schedule: object        # Schedule (gamma, eta, a)
     T: float                # simulation time
     sparsity: int           # max nonzeros per row of the kinetic matrix
     epsilon: float          # evolution error
@@ -100,32 +100,17 @@ def measured_sparsity(A):
 
 
 def schedule_integral(schedule, T):
-    """int_0^T a(t) eta(t) dt; closed form for the exponential schedule,
-    composite Simpson's rule on 20,000 intervals for any other."""
+    """int_0^T a(t) eta dt; closed form for a(t) = exp(2 gamma t), composite
+    Simpson's rule on 20,000 intervals for a given a(t)."""
     if T <= 0:
         raise ParameterError("T must be positive")
-    gamma = schedule.gamma
-    eta0 = schedule.eta_at(0.0)
-    if gamma > 0 and _is_exponential(schedule) and _eta_constant(schedule, T):
-        return float(eta0 * (np.exp(2.0 * gamma * T) - 1.0) / (2.0 * gamma))
+    gamma, eta = schedule.gamma, schedule.eta
+    if schedule.a is None:
+        return float(eta * T if gamma == 0 else eta * (schedule.a_at(T) - 1.0) / (2.0 * gamma))
     ts = np.linspace(0.0, T, 20_001)
-    vals = np.array([schedule.a_at(t) * schedule.eta_at(t) for t in ts])
+    vals = np.array([schedule.a_at(t) * eta for t in ts])
     h = T / 20_000
     return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
-
-
-def _is_exponential(schedule):
-    for t in (0.0, 0.5, 1.0):
-        if abs(schedule.a_at(t) - np.exp(2.0 * schedule.gamma * t)) > 1e-12 * max(
-            1.0, np.exp(2.0 * schedule.gamma * t)
-        ):
-            return False
-    return True
-
-
-def _eta_constant(schedule, T):
-    e0 = schedule.eta_at(0.0)
-    return all(abs(schedule.eta_at(f * T) - e0) <= 1e-12 * max(1.0, abs(e0)) for f in (0.25, 0.7, 1.0))
 
 
 def dyson_factor(x):
@@ -137,18 +122,24 @@ def dyson_factor(x):
 
 
 def query_count(inputs):
-    """Relative query counts per the interaction-picture cost model."""
+    """Relative query counts per the interaction-picture cost model.
+
+    A count or factor that is not finite (an epsilon or a schedule past the
+    float range) raises ``NumericError``, so a report holds numbers only.
+    """
     alpha, T, eps, delta = inputs.alpha_h, inputs.T, inputs.epsilon, inputs.delta
-    x = alpha * T / eps
-    dy = dyson_factor(x)
-    le2 = np.log(1.0 / eps) ** 2
-    ld = np.log(1.0 / delta)
-    integral = schedule_integral(inputs.schedule, T)
-    n_a = T * np.sqrt(inputs.sparsity * alpha) * le2 * dy * ld
-    n_ub = alpha * inputs.v_max * integral * T * le2 * dy * ld
+    with np.errstate(all="ignore"):    # a non-finite result raises below
+        x = alpha * T / eps
+        dy = dyson_factor(x)
+        le2 = np.log(1.0 / eps) ** 2
+        ld = np.log(1.0 / delta)
+        integral = schedule_integral(inputs.schedule, T)
+        n_a = T * np.sqrt(inputs.sparsity * alpha) * le2 * dy * ld
+        n_ub = alpha * inputs.v_max * integral * T * le2 * dy * ld
+        n_total = n_a + n_ub
     ts = np.linspace(0.0, T, 129)
-    beta = float(max(inputs.schedule.a_at(t) * inputs.schedule.eta_at(t) for t in ts) * inputs.v_max)
-    return QueryReport(
+    beta = float(max(inputs.schedule.a_at(t) * inputs.schedule.eta for t in ts) * inputs.v_max)
+    report = QueryReport(
         alpha_h=float(alpha),
         beta_h=beta,
         v_max=float(inputs.v_max),
@@ -162,6 +153,10 @@ def query_count(inputs):
         log_delta=float(ld),
         n_query_a=float(n_a),
         n_query_ub=float(n_ub),
-        n_query_total=float(n_a + n_ub),
+        n_query_total=float(n_total),
         alpha_beta_t2=float(alpha * beta * T * T),
     )
+    bad = [key for key, v in report.to_dict().items() if not np.isfinite(v)]
+    if bad:
+        raise NumericError(f"query count not finite: {', '.join(bad)}")
+    return report

@@ -14,7 +14,8 @@ with W = diag(sqrt(g) * prod h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,15 +95,14 @@ class Grid:
 class PotentialField:
     """Scalar potential with optional analytic gradient.
 
-    ``fn`` takes one point; the built-in constructors below pass ``fn``s and
-    gradients that also take an ``(..., dim)`` stack, so ``node_values`` and
-    ``gradient_at`` on an ``(n, dim)`` stack make one call.  Other callbacks
-    are called point by point.
+    ``fn`` and ``gradient_fn`` take one point ``(dim,)`` or a stack
+    ``(..., dim)`` and return over its leading axes, so ``node_values`` and
+    ``gradient_at`` make one call.  Without ``gradient_fn`` the gradient is
+    the central difference of ``fn`` over the stack.
     """
 
     fn: object
     gradient_fn: object = None
-    _stacked: bool = field(default=False, init=False, repr=False)
 
     def value_at(self, point):
         return float(np.real(self.fn(np.asarray(point))))
@@ -112,23 +112,17 @@ class PotentialField:
 
     def gradient_at(self, point):
         p = np.asarray(point)
-        if p.ndim == 2 and not self._stacked:
-            return np.array([self.gradient_at(q) for q in p])
         if self.gradient_fn is not None:
             return np.asarray(self.gradient_fn(p))
         out = geometry.central_difference(self.fn, p, geometry.FD_STEP)
         return out.real if np.all(out.imag == 0) else out
 
     def node_values(self, grid):
-        nodes = grid.nodes()
         # a value that is not finite raises below, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            if self._stacked:
-                vals = np.asarray(np.real(self.fn(nodes)), dtype=float)
-            else:
-                vals = np.array([self.value_at(p) for p in nodes])
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("potential not finite at every grid node")
+            vals = np.asarray(np.real(self.fn(grid.nodes())), dtype=float)
+        if vals.shape != (grid.size,) or not np.all(np.isfinite(vals)):
+            raise ParameterError("potential needs one finite value per grid node")
         return vals
 
 
@@ -144,9 +138,7 @@ def quadratic_potential(matrix, mass):
     def grad(x):
         return mass * (x @ A.T)
 
-    pot = PotentialField(value, grad)
-    pot._stacked = True
-    return pot
+    return PotentialField(value, grad)
 
 
 def sphere_quadratic_potential(matrix, mass, chart):
@@ -184,9 +176,7 @@ def sphere_quadratic_potential(matrix, mass, chart):
         return ((2.0 / den)[..., None] * ax[..., :d]
                 - (4.0 * radial / (R * den * den))[..., None] * v)
 
-    pot = PotentialField(value, grad)
-    pot._stacked = True
-    return pot
+    return PotentialField(value, grad)
 
 
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
@@ -194,19 +184,19 @@ _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 @dataclass
 class Schedule:
-    """Time-dependent coefficients a(t), eta(t) and friction gamma.
+    """The dissipation schedule of H(t): friction gamma, constant eta, a(t).
 
-    ``gamma`` is meaningful when a(t) = exp(2 gamma t); the exponential
-    schedule is the package default.  Non-finite gamma, dt, t_end, eta(0) or
-    step count t_end / dt are a ``ParameterError``; every comparison is
-    written so NaN fails it.
+    a(t) = exp(2 gamma t), the form whose friction a'/a is 2 gamma, unless a
+    function ``a`` is given.  A gamma or eta that is not a finite number, and
+    a non-finite dt, t_end or step count t_end / dt, are a
+    ``ParameterError``; every comparison is written so NaN fails it.
     """
 
-    a: object
-    eta: object
     gamma: float = 0.0
+    eta: float = 1.0
     t_end: float = 1.0
     dt: float = 1e-2
+    a: object = None
 
     def __post_init__(self):
         if not (0 < self.dt < np.inf):
@@ -214,28 +204,18 @@ class Schedule:
         if not (self.dt <= self.t_end < np.inf and np.isfinite(self.t_end / self.dt)):
             raise ParameterError(f"t_end must be at least dt and a finite number of steps "
                                  f"of dt = {self.dt}, got {self.t_end}")
-        if not (np.isfinite(self.gamma) and np.isfinite(self.eta_at(0.0))):
-            raise ParameterError("gamma and eta(0) must be finite")
+        if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in (self.gamma, self.eta)):
+            raise ParameterError(f"gamma and eta must be finite numbers, "
+                                 f"got {self.gamma!r} and {self.eta!r}")
         if not (0 < self.a_at(0.0) < np.inf):
             raise ScheduleError("a(0) must be finite and positive")
 
-    @classmethod
-    def exponential(cls, gamma, eta=1.0, t_end=1.0, dt=1e-2):
-        eta_val = float(eta)
-
-        def a(t):
-            # past the largest float a(t) is inf, without numpy's overflow warning
-            x = 2.0 * gamma * t
-            return np.inf if x > _LOG_FLOAT_MAX else np.exp(x)
-
-        return cls(a=a, eta=lambda t: eta_val,
-                   gamma=float(gamma), t_end=float(t_end), dt=float(dt))
-
     def a_at(self, t):
-        return float(self.a(t) if callable(self.a) else self.a)
-
-    def eta_at(self, t):
-        return float(self.eta(t) if callable(self.eta) else self.eta)
+        if self.a is not None:
+            return float(self.a(t))
+        # past the largest float a(t) is inf, without numpy's overflow warning
+        x = 2.0 * self.gamma * t
+        return np.inf if x > _LOG_FLOAT_MAX else float(np.exp(x))
 
 
 def assemble_laplace_beltrami(chart, grid, return_weights=False):

@@ -263,7 +263,7 @@ class CrankNicolsonStepper:
         if not (0 < a < np.inf):
             raise ScheduleError(f"a({t}) = {a} must be finite and positive")
         ck = 1.0 / (a * 2.0 * self.mass)
-        diag = (a * self.schedule.eta_at(t)) * self.v_nodes
+        diag = (a * self.schedule.eta) * self.v_nodes
         if self.weyl_nodes is not None:
             diag = diag + (ck * 2.0 * self.mass) * self.weyl_nodes
         return ck, diag
@@ -275,6 +275,7 @@ class CrankNicolsonStepper:
         ck, diag = self.hamiltonian_parts(t)
         return (ck * self.kinetic + sp.diags(diag)).tocsr()
 
+    @np.errstate(all="ignore")   # an H(t) past the float range surfaces as a non-finite residual
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""
         t_mid = t + 0.5 * dt

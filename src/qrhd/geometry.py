@@ -285,8 +285,10 @@ class SphereStereographicChart(MetricChart):
     def __init__(self, ambient_dim, radius=1.0, pole="south", domain=None):
         if ambient_dim < 2:
             raise ParameterError("ambient dimension must be >= 2")
-        if not (0 < radius < np.inf):   # NaN fails as well
-            raise ParameterError(f"sphere radius must be finite and positive, got {radius}")
+        # NaN fails as well; s = |v|^2 / R^2 needs R^2 to be a normal float
+        if not (0 < radius < np.inf and radius * radius >= np.finfo(float).tiny):
+            raise ParameterError(f"sphere radius must be finite and positive with a normal "
+                                 f"square, got {radius}")
         if pole not in ("north", "south"):
             raise ParameterError("pole must be 'north' or 'south'")
         dim = ambient_dim - 1

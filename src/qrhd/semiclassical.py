@@ -46,9 +46,9 @@ def _effective_gradient(chart, potential, p, schedule, t, mass, corrections, log
     grad = potential.gradient_at(p)
     if not (corrections or log_measure):
         return grad
-    eta = schedule.eta_at(t)
+    eta = schedule.eta
     if eta <= 0:
-        raise ScheduleError("corrections require eta(t) > 0")
+        raise ScheduleError("corrections require eta > 0")
     a = schedule.a_at(t)
     if corrections:
         grad = grad + chart.correction_gradient_many(p, mass) / (eta * a * a)
@@ -80,9 +80,10 @@ def _eom_rhs(chart, potential, schedule, mass, corrections, log_measure):
 
         v' = -(Gamma(Re p)[v, v] + 2 gamma v + (eta / m) g^{-1}(Re p) grad V_eff(p)).
 
+    The friction 2 gamma is a'/a of the schedule's a(t) = exp(2 gamma t).
     The state stays real unless ``log_measure`` adds the imaginary term.
     """
-    dim, gamma = chart.dim, schedule.gamma
+    dim, gamma, eta = chart.dim, schedule.gamma, schedule.eta
 
     def rhs(t, y):
         p, v = y[:, :dim], y[:, dim:]
@@ -92,7 +93,7 @@ def _eom_rhs(chart, potential, schedule, mass, corrections, log_measure):
         out = np.empty_like(y)
         out[:, :dim] = v
         out[:, dim:] = -(chart.geodesic_term_many(w, v) + 2.0 * gamma * v
-                         + (schedule.eta_at(t) / mass) * chart.inverse_metric_apply_many(w, grad))
+                         + (eta / mass) * chart.inverse_metric_apply_many(w, grad))
         return out
 
     return rhs
@@ -352,8 +353,12 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
     Re p leaves the chart box [lo, hi] or one of |Im p| exceeds the box's
     half-width (hi - lo) / 2, or at the start if it starts outside;
     ``exit_sample`` is its first sample outside the box (or non-finite), -1
-    if none.  A non-finite live row raises ``BlowUpError``.
+    if none.  A non-finite live row raises ``BlowUpError``.  A schedule with
+    a given a(t) is a ``ParameterError``: the friction 2 gamma is a'/a only
+    for a(t) = exp(2 gamma t).
     """
+    if schedule.a is not None:
+        raise ParameterError("integrate_eom needs the schedule a(t) = exp(2 gamma t)")
     dtype = complex if log_measure else float
     pos = np.asarray(position, dtype=dtype)
     vel = np.asarray(velocity, dtype=dtype)
@@ -610,7 +615,7 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         n_steps = int(np.ceil(_study_horizon(gamma, lambda_eff, epsilon_star) / dt))
         stride = max(1, int(round(0.01 / dt)))
         times = dt * stride * np.arange(n_steps // stride + 1)
-        traj = integrate_eom(chart, potential, Schedule.exponential(gamma), v0,
+        traj = integrate_eom(chart, potential, Schedule(gamma), v0,
                              np.zeros_like(v0), times, corrections, log_measure)
         positions, exit_sample = traj.positions, traj.exit_sample
         ode_steps.append(dict(gamma=float(gamma), **asdict(traj.stats)))

@@ -62,7 +62,7 @@ def run_demo_variant(chart, grid_n, potential_mass, metric_kind, seed,
         pot = sphere_quadratic_potential(A2, potential_mass, chart)
     else:
         pot = quadratic_potential(A1, potential_mass)
-    sched = Schedule.exponential(**schedule_cfg)
+    sched = Schedule(**schedule_cfg)
     init = init_state(grid, chart, "random-smooth", seed=seed,
                       smooth_length=smooth_length)
     t_end = sched.t_end
@@ -126,7 +126,7 @@ def instance_study():
 
 @pytest.fixture(scope="session")
 def alpha_measurements():
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     flat, metric = FlatChart(2), ConstantChart(A1)
     gf, gm = Grid.for_chart(flat, 128), Grid.for_chart(metric, 128)
     a_flat = kinetic_norm_bound(flat, gf, 0.1, sched, representation="momentum")
@@ -200,7 +200,7 @@ def test_criterion_5_damped_oscillator_oracle():
         eta, m = rng.uniform(0.3, 1.5, 2)
         pot = quadratic_potential(A, m)
         t_end = 10.0 / gamma
-        sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
+        sched = Schedule(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
         x0 = rng.uniform(-0.9, 0.9, 2)
         traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
                              np.linspace(0.0, t_end, 51), corrections=True,
@@ -299,7 +299,7 @@ def test_criterion_9_query_ratio_cancellation(speedup_study, alpha_measurements)
     totals = {}
     for name, alpha, T in (("qhd", a_flat, t_qhd), ("qrhd", a_metric, t_qrhd)):
         gamma = factor / T   # the T ~ 1/gamma regime of the cost model
-        sched = Schedule.exponential(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
+        sched = Schedule(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
         inputs = ComplexityInputs(alpha_h=alpha, v_max=0.19, schedule=sched,
                                   T=float(T), sparsity=sparsity, epsilon=1e-3,
                                   delta=0.05)
@@ -312,7 +312,7 @@ def test_criterion_9_query_ratio_cancellation(speedup_study, alpha_measurements)
     bound_totals = {}
     for name, alpha, T in (("qhd", a_flat, tb_q), ("qrhd", a_metric, tb_r)):
         gamma = factor / T
-        sched = Schedule.exponential(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
+        sched = Schedule(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
         inputs = ComplexityInputs(alpha_h=alpha, v_max=0.19, schedule=sched,
                                   T=float(T), sparsity=sparsity, epsilon=1e-3,
                                   delta=0.05)

@@ -156,8 +156,12 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
 
 
 @pytest.mark.parametrize("change", [
-    *(pytest.param({"sample_every": v}, id=str(v)) for v in (0, -0.25)),
+    # 0.005 is finer than dt = 0.02, so samples would repeat
+    *(pytest.param({"sample_every": v}, id=str(v)) for v in (0, -0.25, 0.005)),
     *(pytest.param({"mass": m}, id=f"mass={m}") for m in (0, -1)),
+    # R^2 underflows to 0
+    pytest.param({"charts": [dict(SMALL_EVOLVE["charts"][0], radius=1e-308)]},
+                 id="radius=1e-308"),
     pytest.param({"frame_times": [100.0]}, id="frame_after_t_end"),
     pytest.param({"frame_times": [-0.5, 1.0]}, id="frame_before_0"),
     *(pytest.param({"schedule": dict(SMALL_EVOLVE["schedule"], **{key: v})},
@@ -185,17 +189,25 @@ def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-@pytest.mark.parametrize("a_expr, dt, kind", [
+def a_expr_schedule(a_expr, dt):
+    # one sample interval: sample_every may not be finer than dt
+    return {"schedule": {"a_expr": a_expr, "t_end": 1.5, "dt": dt}, "sample_every": 1.5}
+
+
+@pytest.mark.parametrize("change, kind", [
     # 1/t fails at t = 0; the others in one step, whose midpoint t = 0.75 is past
     # the overflow of a(t), or past t = 0.5, where a(t) turns complex
-    *(pytest.param(a, 1.5, "ScheduleError", id=a)
+    *(pytest.param(a_expr_schedule(a, 1.5), "ScheduleError", id=a)
       for a in ("1/t", "2**(2000*t)", "exp(1000*t)", "(0.5 - t)**0.5 + 1")),
     # at t = 0.365, a(t) = 3e158 is finite, but the norms of the CN vectors overflow
-    pytest.param("exp(1000*t)", 0.01, "SolverError", id="exp(1000*t)-small-steps"),
+    pytest.param(a_expr_schedule("exp(1000*t)", 0.01), "SolverError",
+                 id="exp(1000*t)-small-steps"),
+    # 1 / (2 m a) = 5e307 times the stencil overflows in the first step
+    pytest.param({"mass": 1e-308}, "SolverError", id="mass=1e-308"),
 ])
 def test_evolve_schedule_that_divides_by_zero_or_overflows_exits_3(tmp_path, capsys,
-                                                                  a_expr, dt, kind):
-    cfg = dict(SMALL_EVOLVE, schedule={"a_expr": a_expr, "t_end": 1.5, "dt": dt})
+                                                                  change, kind):
+    cfg = {**SMALL_EVOLVE, **change}
     out = tmp_path / "run"
     assert main(["evolve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
     assert_one_json_error(capsys, kind)
@@ -269,11 +281,19 @@ def test_complexity_command(tmp_path):
         assert key in r
 
 
-def test_complexity_rejects_an_empty_chart_list(tmp_path, capsys):
+@pytest.mark.parametrize("change, code, kind", [
+    pytest.param({"charts": []}, 2, "ParameterError", id="no_charts"),
+    # alpha T / epsilon overflows, so the Dyson factor is inf / inf
+    pytest.param({"epsilon": 1e-308}, 3, "NumericError", id="epsilon=1e-308"),
+    # t* ~ 1420 / (2 gamma): a(t*) = e^1420 and the schedule integral overflow
+    pytest.param({"t_star": dict(SMALL_COMPLEXITY["t_star"], epsilon_star=1e-308)},
+                 3, "NumericError", id="epsilon_star=1e-308"),
+])
+def test_complexity_rejects_with_one_typed_error(tmp_path, capsys, change, code, kind):
     out = tmp_path / "never"
-    cfg = write_config(tmp_path, dict(SMALL_COMPLEXITY, charts=[]))
-    assert main(["complexity", "--config", cfg, "--out", str(out)]) == 2
-    assert_one_json_error(capsys)
+    cfg = write_config(tmp_path, {**SMALL_COMPLEXITY, **change})
+    assert main(["complexity", "--config", cfg, "--out", str(out)]) == code
+    assert_one_json_error(capsys, kind)
     assert not out.exists()
 
 

@@ -28,7 +28,7 @@ def make_inputs(**over):
     base = dict(
         alpha_h=1.0e4,
         v_max=0.2,
-        schedule=Schedule.exponential(gamma=0.3, eta=1.0, t_end=10.0, dt=0.1),
+        schedule=Schedule(gamma=0.3, eta=1.0, t_end=10.0, dt=0.1),
         T=5.0,
         sparsity=5,
         epsilon=1e-3,
@@ -39,31 +39,38 @@ def make_inputs(**over):
 
 
 def test_schedule_integral_constant():
-    sched = Schedule(a=lambda t: 1.0, eta=lambda t: 1.0, t_end=5.0, dt=0.1, gamma=0.0)
+    sched = Schedule(gamma=0.0, eta=1.0, t_end=5.0, dt=0.1)
     assert schedule_integral(sched, 3.0) == pytest.approx(3.0, rel=1e-10)
 
 
 def test_schedule_integral_closed_form_value():
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=5.0, dt=0.1)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=5.0, dt=0.1)
     assert schedule_integral(sched, 2.0) == pytest.approx(np.e**2 - 1.0, rel=1e-12)
 
 
 def test_schedule_integral_quadrature_matches_closed_form():
     gamma, eta = 0.4, 0.7
     exact = eta * (np.exp(2 * gamma * 3.0) - 1.0) / (2 * gamma)
-    # force the quadrature path by hiding the exponential structure
-    sched = Schedule(a=lambda t: np.exp(2 * gamma * t), eta=lambda t: eta,
-                     t_end=5.0, dt=0.1, gamma=0.0)
+    # a given a(t) takes the quadrature path
+    sched = Schedule(eta=eta, t_end=5.0, dt=0.1, a=lambda t: np.exp(2 * gamma * t))
     assert schedule_integral(sched, 3.0) == pytest.approx(exact, rel=1e-8)
+
+
+def test_schedule_integral_of_a_given_a_is_never_the_closed_form():
+    # a(t) = e^t up to t = 1 and t e^t after: e^{2 gamma t} on [0, 1] only,
+    # so the integral to 3 is (e - 1) + 2 e^3, not (e^3 - 1) / (2 gamma)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=5.0, dt=0.1,
+                     a=lambda t: np.exp(t) * (t if t > 1.0 else 1.0))
+    assert schedule_integral(sched, 3.0) == pytest.approx(np.e - 1.0 + 2.0 * np.e**3, rel=1e-8)
 
 
 def test_kinetic_norm_max_at_t_zero_and_mass_scaling():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 17)
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=4.0, dt=0.1)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=4.0, dt=0.1)
     a1 = kinetic_norm_bound(chart, grid, 1.0, sched, tol=1e-8)
     # max over t of e^{-2 gamma t} sits at t = 0
-    sched0 = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1e-9, dt=1e-9)
+    sched0 = Schedule(gamma=0.5, eta=1.0, t_end=1e-9, dt=1e-9)
     a0 = kinetic_norm_bound(chart, grid, 1.0, sched0, tol=1e-8)
     assert a1 == pytest.approx(a0, rel=1e-9)
     a_half = kinetic_norm_bound(chart, grid, 2.0, sched, tol=1e-8)
@@ -76,7 +83,7 @@ def test_kinetic_norm_max_at_t_zero_and_mass_scaling():
 def test_momentum_representation_ratio_is_inverse_min_eigenvalue():
     flat = FlatChart(2)
     metric = ConstantChart(A1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     grid_f = Grid.for_chart(flat, 48)
     grid_m = Grid.for_chart(metric, 48)
     af = kinetic_norm_bound(flat, grid_f, 0.1, sched, representation="momentum")
@@ -91,7 +98,7 @@ def test_momentum_representation_ratio_is_inverse_min_eigenvalue():
 ])
 def test_momentum_bound_matches_a_per_node_loop(chart, n):
     grid = Grid.for_chart(chart, n)
-    sched = Schedule.exponential(gamma=0.3, eta=1.0, t_end=2.0, dt=0.1)
+    sched = Schedule(gamma=0.3, eta=1.0, t_end=2.0, dt=0.1)
     kmax = np.pi / grid.spacing
     nodes = grid.nodes()
     worst = 0.0
@@ -110,7 +117,7 @@ def test_stencil_representation_undershoots_momentum_for_mixed_metrics():
     # the assembled-operator norm ratio saturates near 5.26, not 10
     flat = FlatChart(2)
     metric = ConstantChart(A1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     grid_f = Grid.for_chart(flat, 48)
     grid_m = Grid.for_chart(metric, 48)
     af = kinetic_norm_bound(flat, grid_f, 0.1, sched, tol=1e-6)
@@ -172,7 +179,7 @@ def test_inputs_validation():
 
 def test_flat_pair_cancellation_with_bound_times():
     # alpha ratio 10 against t* ratio 1/sqrt(10): alpha T^2 cancels
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     flat = FlatChart(2)
     metric = ConstantChart(A1)
     af = kinetic_norm_bound(flat, Grid.for_chart(flat, 48), 0.1, sched,

@@ -42,11 +42,14 @@ def test_grid_validation():
 
 def test_schedule_validation():
     with pytest.raises(ParameterError):
-        Schedule.exponential(gamma=0.5, t_end=1.0, dt=0.0)
+        Schedule(gamma=0.5, t_end=1.0, dt=0.0)
     with pytest.raises(ParameterError):
-        Schedule.exponential(gamma=0.5, t_end=0.001, dt=0.01)
+        Schedule(gamma=0.5, t_end=0.001, dt=0.01)
     with pytest.raises(ScheduleError):
         Schedule(a=lambda t: -1.0, eta=1.0, t_end=1.0, dt=0.1)
+    # eta is a constant: a function of t is not a number
+    with pytest.raises(ParameterError):
+        Schedule(eta=lambda t: 1.0, t_end=1.0, dt=0.1)
 
 
 def test_flat_1d_second_difference_stencil():
@@ -146,11 +149,11 @@ def test_hamiltonian_pure_kinetic_and_flat_demo_combination():
     pot = quadratic_potential(A1, 0.1)
     D = assemble_laplace_beltrami(chart, grid)
     # eta = 0, a = 1: H = -D / (2 m)
-    sched0 = Schedule(a=lambda t: 1.0, eta=lambda t: 0.0, t_end=1.0, dt=0.1)
+    sched0 = Schedule(eta=0.0, t_end=1.0, dt=0.1)
     H = CrankNicolsonStepper(chart, grid, pot, sched0, 0.25).hamiltonian(0.3)
     assert abs(H - (-D) / 0.5).max() == 0.0
     # the quadratic-descent setup at t = 0: H = -D/(2*0.1) + 0.1 diag(V)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     H = CrankNicolsonStepper(chart, grid, pot, sched, 0.1).hamiltonian(0.0)
     Vd = pot.node_values(grid)
     expected = -D / 0.2 + sp.diags(0.1 * Vd)
@@ -180,10 +183,10 @@ def test_stacked_sphere_potential_matches_single_instances(pole):
 
 def test_gradient_by_differences_matches_analytic_gradient():
     A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 3.0]])
-    pot = PotentialField(lambda x: 0.5 * x @ A @ x + np.sin(x[0]))
+    pot = PotentialField(lambda x: 0.5 * np.sum(x * (x @ A), axis=-1) + np.sin(x[..., 0]))
 
     def exact(x):
-        return A @ x + np.cos(x[0]) * np.eye(3)[0]
+        return x @ A + np.cos(x[..., 0])[..., None] * np.eye(3)[0]
 
     real = np.array([0.3, -0.7, 1.1])
     grad = pot.gradient_at(real)
@@ -191,13 +194,16 @@ def test_gradient_by_differences_matches_analytic_gradient():
     assert np.abs(grad - exact(real)).max() < 1e-10
     point = real + 1j * np.array([0.2, -0.1, 0.4])
     assert np.abs(pot.gradient_at(point) - exact(point)).max() < 1e-10
+    # one difference over a stack
+    stack = np.stack([real, -real, 2.0 * real])
+    assert np.abs(pot.gradient_at(stack) - exact(stack)).max() < 1e-10
 
 
 def test_hamiltonian_weyl_correction_flag():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 9)
     pot = sphere_quadratic_potential(np.eye(3), 1.0, chart)
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
     H0 = CrankNicolsonStepper(chart, grid, pot, sched, 1.0).hamiltonian(0.2)
     H1 = CrankNicolsonStepper(chart, grid, pot, sched, 1.0,
                               include_weyl_correction=True).hamiltonian(0.2)
@@ -244,9 +250,12 @@ def test_potential_field_requires_finite_node_values():
     chart, grid = unit_grid(1, 5)
     from qrhd import PotentialField
 
-    pot = PotentialField(lambda x: np.inf if x[0] == 1.0 else float(x[0]))
+    pot = PotentialField(lambda x: np.where(x[..., 0] == 1.0, np.inf, x[..., 0]))
     with pytest.raises(ParameterError):
         pot.node_values(grid)
+    # a callback that takes one point returns one value for the whole stack
+    with pytest.raises(ParameterError):
+        PotentialField(lambda x: np.sum(x ** 2)).node_values(grid)
 
 
 def test_node_values_cache_is_keyed_by_grid_values():

@@ -93,7 +93,7 @@ def test_kinetic_matrix_carries_the_crank_nicolson_pattern(chart):
     assert np.all(D.data[~on_diag] != 0)
 
     pot = quadratic_potential(np.eye(2), 0.1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
     stepper.step(init_state(grid, chart, "random", seed=1).values, 0.0, 0.01)
     assert np.array_equal(stepper._A.indptr, stepper.kinetic.indptr)
@@ -104,7 +104,7 @@ def test_stepper_step_matches_dense_cayley_solve():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 17)
     pot = sphere_quadratic_potential(np.diag([1.0, 0.5, -1.0]), 0.1, chart)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1,
                                    include_weyl_correction=True)
     psi = init_state(grid, chart, "random", seed=2).values
@@ -120,8 +120,8 @@ def test_cn_ground_state_is_stationary():
     # discrete harmonic well; its ground state should only acquire phase
     chart = FlatChart(1, domain=(-6.0 * np.ones(1), 6.0 * np.ones(1)))
     grid = Grid.for_chart(chart, 129)
-    pot = PotentialField(lambda x: 0.5 * float(x[0]) ** 2)
-    sched = Schedule(a=lambda t: 1.0, eta=lambda t: 1.0, t_end=1.0, dt=0.01)
+    pot = PotentialField(lambda x: 0.5 * x[..., 0] ** 2)
+    sched = Schedule(eta=1.0, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 1.0)
     evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).toarray())
     psi0 = WaveFunction(evecs[:, 0], grid, chart).normalized()
@@ -136,7 +136,7 @@ def test_time_reversal_with_frozen_hamiltonian():
     chart, grid = flat_grid(2, 17)
     pot = quadratic_potential(A1, 0.1)
     a = np.exp(2 * 0.25 * 0.4)  # the exponential schedule frozen at t = 0.4
-    sched = Schedule(a=lambda t: a, eta=lambda t: 0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(eta=0.1, t_end=1.0, dt=0.01, a=lambda t: a)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
     psi = init_state(grid, chart, "random", seed=11).values
     fwd = stepper.step(psi, 0.0, 0.02)
@@ -154,7 +154,7 @@ def test_evolve_matches_manual_stepping(chart, weyl):
         pot = sphere_quadratic_potential(np.diag([1.0, 0.5, -1.0, 0.2]), 0.1, chart)
     else:
         pot = quadratic_potential(A1, 0.1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=0.05, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=0.05, dt=0.01)
     initial = init_state(grid, chart, "random", seed=5)
     trace = evolve(chart, grid, pot, sched, initial, sample_times=[0.05],
                    include_weyl_correction=weyl, mass=0.1)
@@ -183,7 +183,7 @@ def test_norm_conservation_and_dissipation_proxy():
     A2 = np.array([[1, 0, -1 / np.sqrt(2)], [0, 1, -1 / np.sqrt(2)],
                    [-1 / np.sqrt(2), -1 / np.sqrt(2), 1.0]])
     pot = sphere_quadratic_potential(A2, 1.0, chart)
-    sched = Schedule.exponential(gamma=0.25, eta=1.0, t_end=6.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=1.0, t_end=6.0, dt=0.01)
     initial = init_state(grid, chart, "random-smooth", seed=4, smooth_length=0.3)
     trace = evolve(chart, grid, pot, sched, initial, mass=1.0)
     assert trace.norm_drift() < 1e-6
@@ -196,7 +196,7 @@ def test_norm_conservation_and_dissipation_proxy():
         return float(p @ np.sum((nodes - center) ** 2, axis=1))
 
     # dissipative schedule concentrates the density over the run
-    sched2 = Schedule.exponential(gamma=0.25, eta=1.0, t_end=6.0, dt=0.01)
+    sched2 = Schedule(gamma=0.25, eta=1.0, t_end=6.0, dt=0.01)
     tr2 = evolve(chart, grid, pot, sched2, initial, sample_times=[0.0, 6.0],
                  frame_times=[0.0, 6.0], mass=1.0)
     v0 = variance(tr2.frames[0][1], tr2.positions[0])
@@ -208,8 +208,7 @@ def test_no_force_keeps_centroid_and_norm():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 33)
     pot = quadratic_potential(np.eye(2), 1.0)
-    sched = Schedule(a=lambda t: 1.0, eta=lambda t: 0.0, t_end=0.5, dt=0.01,
-                     gamma=0.0)
+    sched = Schedule(gamma=0.0, eta=0.0, t_end=0.5, dt=0.01)
     initial = init_state(grid, chart, "gaussian", center=[0.0, 0.0], width=0.22)
     trace = evolve(chart, grid, pot, sched, initial, mass=1.0)
     assert trace.norm_drift() < 1e-8
@@ -223,7 +222,7 @@ def test_dt_refinement_second_order():
     initial = init_state(grid, chart, "gaussian", center=[0.3, -0.2], width=0.2)
     finals = []
     for dt in (0.04, 0.02, 0.01):
-        sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=2.0, dt=dt)
+        sched = Schedule(gamma=0.25, eta=0.1, t_end=2.0, dt=dt)
         tr = evolve(chart, grid, pot, sched, initial, sample_times=[2.0], mass=0.1)
         finals.append(tr.positions[-1])
     d1 = np.linalg.norm(finals[0] - finals[1])
@@ -267,7 +266,7 @@ def test_solver_error_is_exported_as_numeric_error():
 def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
     chart, grid = flat_grid(2, 9)
     pot = quadratic_potential(A1, 0.1)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
     psi = init_state(grid, chart, "random", seed=1).values
     # every solve stops at relative residual 1e-3; count solves and factors
@@ -297,7 +296,7 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
 
 def test_non_finite_solve_retries_from_the_previous_state(monkeypatch):
     chart, grid = flat_grid(2, 9)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     psi = init_state(grid, chart, "random", seed=1).values
     pot = quadratic_potential(A1, 0.1)
     ref = CrankNicolsonStepper(chart, grid, pot, sched, 0.1).step(psi, 0.0, 0.01)
@@ -320,7 +319,7 @@ def test_non_finite_solve_retries_from_the_previous_state(monkeypatch):
 
 def test_window_refresh_releases_the_stale_factor(monkeypatch):
     chart, grid = flat_grid(2, 9)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
     psi = init_state(grid, chart, "random", seed=1).values
     mod = sys.modules["qrhd.evolve"]
@@ -359,7 +358,7 @@ def test_bicgstab_stops_at_half_step_with_exact_preconditioner():
     import scipy.sparse.linalg as spla
 
     chart, grid = flat_grid(2, 9)
-    sched = Schedule.exponential(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
     psi = init_state(grid, chart, "random", seed=1).values
     dt = 0.01

@@ -176,7 +176,7 @@ def test_detect_t_star_validation():
 def test_equilibrium_stays_put():
     chart = FlatChart(2, domain=(-2 * np.ones(2), 2 * np.ones(2)))
     pot = quadratic_potential(A1, 0.1)
-    sched = Schedule.exponential(gamma=0.5, eta=0.1, t_end=3.0, dt=1.0)
+    sched = Schedule(gamma=0.5, eta=0.1, t_end=3.0, dt=1.0)
     traj = integrate_eom(chart, pot, sched, np.zeros(2), np.zeros(2),
                          np.linspace(0.0, 3.0, 301), corrections=True, log_measure=True,
                          mass=0.1)
@@ -193,7 +193,7 @@ def test_flat_matches_matrix_exponential_oracle():
         gamma = rng.uniform(0.4, 1.5)
         eta, m = rng.uniform(0.3, 1.5, 2)
         pot = quadratic_potential(A, m)
-        sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=10 / gamma, dt=1.0)
+        sched = Schedule(gamma=gamma, eta=eta, t_end=10 / gamma, dt=1.0)
         x0 = rng.uniform(-0.8, 0.8, 2)
         traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
                              np.linspace(0.0, 10 / gamma, 101), corrections=True,
@@ -210,7 +210,7 @@ def test_critical_damping_of_the_slow_mode():
     pot = quadratic_potential(A1, m)
     lam_min_hess = m * 0.1                          # Hess V = m A1
     omega = np.sqrt(eta * lam_min_hess / m)
-    sched = Schedule.exponential(gamma=omega, eta=eta, t_end=40.0, dt=1.0)
+    sched = Schedule(gamma=omega, eta=eta, t_end=40.0, dt=1.0)
     soft = np.array([1.0, 1.0]) / np.sqrt(2)        # eigenvector of lambda_min
     traj = integrate_eom(chart, pot, sched, 0.5 * soft, np.zeros(2),
                          0.1 * np.arange(401), mass=m)
@@ -229,7 +229,7 @@ def test_gamma_eta_scaling_symmetry():
     results = []
     for gamma, eta in ((0.5, 0.5), (c * 0.5, c**2 * 0.5)):
         t_end = 25.0 / gamma
-        sched = Schedule.exponential(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
+        sched = Schedule(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
         traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
                              np.linspace(0.0, t_end, int(round(t_end / 0.01)) + 1), mass=m)
         results.append(detect_t_star(traj.times, traj.positions, np.zeros(2), 0.01,
@@ -240,7 +240,7 @@ def test_gamma_eta_scaling_symmetry():
 def test_domain_exit_is_reported_at_its_first_outside_sample():
     chart = FlatChart(1, domain=(-1.0 * np.ones(1), np.ones(1)))
     pot = quadratic_potential(-np.eye(1), 1.0)    # inverted well pushes out
-    sched = Schedule.exponential(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
+    sched = Schedule(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
     traj = integrate_eom(chart, pot, sched, np.array([0.5]), np.array([0.0]),
                          0.01 * np.arange(1001))
     k = int(traj.exit_sample)
@@ -254,18 +254,28 @@ def test_domain_exit_is_reported_at_its_first_outside_sample():
 def test_start_outside_domain_exits_at_sample_0():
     chart = FlatChart(1)
     pot = quadratic_potential(np.eye(1), 1.0)
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
     traj = integrate_eom(chart, pot, sched, np.array([[3.0], [0.5]]), np.zeros((2, 1)),
                          np.linspace(0.0, 1.0, 11))
     assert traj.exit_sample.tolist() == [0, -1]
     assert np.all(traj.positions[0] == 3.0)
 
 
+def test_given_schedule_a_is_rejected():
+    # friction 2 gamma is a'/a only for a(t) = exp(2 gamma t); here a'/a = 1
+    # but gamma = 0, which would run the equation without friction
+    chart = FlatChart(1)
+    pot = quadratic_potential(np.eye(1), 1.0)
+    sched = Schedule(eta=1.0, t_end=2.0, dt=0.1, a=lambda t: np.exp(t))
+    with pytest.raises(ParameterError, match="exp"):
+        integrate_eom(chart, pot, sched, np.array([0.5]), np.zeros(1), np.array([0.0, 2.0]))
+
+
 def test_box_exit_measures_im_p_from_the_real_axis():
     # Im p is a displacement, so a box that excludes 0 or is lopsided about
     # it must not count a small Im p as an exit
     pot = quadratic_potential(np.eye(1), 1.0)
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=1.0, dt=0.5)
     times = np.linspace(0.0, 0.2, 5)
     for lo, hi, x0 in ((1.0, 3.0, 2.0), (0.0, 8.0, 4.0 - 0.5j)):
         chart = FlatChart(1, domain=(lo * np.ones(1), hi * np.ones(1)))
@@ -284,7 +294,7 @@ def test_generic_chart_rejects_corrections():
     chart = CustomChart(1, lambda x: np.array([[1.0 + 0.5 * x[0] ** 2]]),
                         domain=(-2.0 * np.ones(1), 2.0 * np.ones(1)))
     pot = quadratic_potential(-np.eye(1), 1.0)      # inverted well
-    sched = Schedule.exponential(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.5, eta=1.0, t_end=1.0, dt=0.1)
     x0, v0, times = np.array([0.3]), np.array([0.0]), np.array([0.0, 0.01])
     with pytest.raises(ParameterError, match="corrections"):
         integrate_eom(chart, pot, sched, x0, v0, times, corrections=True)
@@ -301,7 +311,7 @@ def test_generic_chart_rejects_corrections():
 def test_effective_gradient_flat_reduces_to_plain_gradient():
     chart = FlatChart(2)
     pot = quadratic_potential(A1, 0.1)
-    sched = Schedule.exponential(gamma=0.5, eta=0.1, t_end=1.0, dt=0.1)
+    sched = Schedule(gamma=0.5, eta=0.1, t_end=1.0, dt=0.1)
     p = np.array([0.3, -0.4])
     g_on = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1, True)
     g_off = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1, False)
@@ -313,7 +323,7 @@ def test_effective_gradient_flat_reduces_to_plain_gradient():
 def test_effective_gradient_requires_positive_eta_with_corrections():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     pot = sphere_quadratic_potential(np.eye(3), 1.0, chart)
-    sched = Schedule(a=lambda t: 1.0, eta=lambda t: 0.0, t_end=1.0, dt=0.1)
+    sched = Schedule(eta=0.0, t_end=1.0, dt=0.1)
     from qrhd import ScheduleError
 
     with pytest.raises(ScheduleError):
@@ -328,7 +338,7 @@ def test_measure_term_decays_at_twice_gamma():
                    [-1 / np.sqrt(2), -1 / np.sqrt(2), 1.0]])
     pot = sphere_quadratic_potential(A2, 1.0, chart)
     gamma = 0.7
-    sched = Schedule.exponential(gamma=gamma, eta=1.0, t_end=10.0, dt=0.1)
+    sched = Schedule(gamma=gamma, eta=1.0, t_end=10.0, dt=0.1)
     p = np.array([0.25, -0.15])
     base = np.abs(pot.gradient_at(p))
     ts = np.array([2.0, 3.0, 4.0, 5.0])
@@ -359,7 +369,7 @@ def test_random_instance_structure():
 def study_stack(v0, A, times, gamma, **kw):
     """integrate_eom on the study's sphere problem, as ``run_instance_study`` calls it."""
     chart, pot = make_sphere_study_problem(A)
-    return integrate_eom(chart, pot, Schedule.exponential(gamma), v0, np.zeros_like(v0),
+    return integrate_eom(chart, pot, Schedule(gamma), v0, np.zeros_like(v0),
                          times, **kw)
 
 
@@ -393,7 +403,7 @@ def test_point_state_equals_its_row_in_a_stack():
     chart = SphereStereographicChart(4, 1.0, pole="south", domain=(-4 * np.ones(3),
                                                                    4 * np.ones(3)))
     pot = sphere_quadratic_potential(np.diag([1.0, 4.0, 9.0, 16.0]), 1.0, chart)
-    sched = Schedule.exponential(gamma=0.5)
+    sched = Schedule(gamma=0.5)
     times = 0.05 * np.arange(101)
     pos = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 3))
     vel = np.zeros_like(pos)
@@ -471,9 +481,9 @@ def test_corrections_vanish_once_a_overflows():
 def test_non_finite_state_raises_blow_up():
     chart = FlatChart(1, domain=(-10.0 * np.ones(1), 10.0 * np.ones(1)))
     # inverted well whose force turns NaN past x = 0.6
-    pot = PotentialField(lambda x: -0.5 * float(x @ x),
+    pot = PotentialField(lambda x: -0.5 * np.sum(x * x, axis=-1),
                          gradient_fn=lambda x: np.where(x.real > 0.6, np.nan, -x))
-    sched = Schedule.exponential(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
+    sched = Schedule(gamma=0.0, eta=1.0, t_end=10.0, dt=1.0)
     with pytest.raises(BlowUpError):
         integrate_eom(chart, pot, sched, np.array([0.5]), np.array([0.0]),
                       np.array([0.0, 10.0]))
