@@ -44,7 +44,6 @@ from .discretize import (
 from .evolve import (
     CrankNicolsonStepper,
     EvolutionTrace,
-    WaveFunction,
     evolve,
     init_state,
 )

@@ -480,7 +480,7 @@ def cmd_complexity(args):
             # the T ~ 1/gamma regime of the cost model: match the schedule
             # to the measured time scale
             T, gamma_used = value, factor / value
-        sched = Schedule(gamma_used, eta, max(T, 1e-6), 1e-3)
+        sched = Schedule(gamma_used, eta, T, T)   # the query cost takes no steps
         alpha = kinetic_norm_bound(chart, grid, mass, sched, representation=representation)
         D = assemble_laplace_beltrami(chart, grid)
         v_max = float(np.max(np.abs(potential.node_values(grid))))

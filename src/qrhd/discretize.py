@@ -218,6 +218,14 @@ class Schedule:
         return np.inf if x > _LOG_FLOAT_MAX else float(np.exp(x))
 
 
+def node_sqrt_g(chart, nodes):
+    """sqrt(det g) at the nodes; ``SingularMetricError`` unless positive and finite."""
+    sqrt_g = chart.sqrt_det_many(nodes)
+    if not np.all((sqrt_g > 0) & (sqrt_g < np.inf)):   # NaN fails as well
+        raise SingularMetricError("sqrt(det g) must be positive and finite on the grid")
+    return sqrt_g
+
+
 def assemble_laplace_beltrami(chart, grid, return_weights=False):
     """Divergence-form Laplace-Beltrami operator on the grid.
 
@@ -243,10 +251,7 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     dim = grid.dim
     h = grid.spacing
     nodes = grid.nodes()
-
-    sqrt_g = chart.sqrt_det_many(nodes)
-    if np.any(sqrt_g <= 0) or not np.all(np.isfinite(sqrt_g)):
-        raise SingularMetricError("sqrt(det g) must be positive and finite on the grid")
+    sqrt_g = node_sqrt_g(chart, nodes)
 
     nodes_nd = nodes.reshape(shape + (dim,))
     interior = ~grid.boundary_mask().reshape(shape)

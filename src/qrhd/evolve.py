@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .discretize import Grid, assemble_laplace_beltrami
+from .discretize import assemble_laplace_beltrami, node_sqrt_g
 from .errors import ParameterError, ScheduleError, SolverError
 from .semiclassical import crossing_time
 
@@ -44,48 +44,9 @@ class _Lazy:
 spla = _Lazy("scipy.sparse.linalg")
 
 
-@dataclass
-class WaveFunction:
-    """Complex amplitudes on a grid with the sqrt(g)-weighted inner product."""
-
-    values: np.ndarray
-    grid: Grid
-    chart: object
-    sqrt_g: np.ndarray = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.size,):
-            raise ParameterError("wave function length must equal the grid size")
-        if self.sqrt_g is None:
-            self.sqrt_g = self.chart.sqrt_det_many(self.grid.nodes())
-
-    @property
-    def weights(self):
-        return self.sqrt_g * self.grid.cell_volume
-
-    def weighted_norm(self):
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
-
-    def normalized(self):
-        n = self.weighted_norm()
-        if n == 0:
-            raise ParameterError("cannot normalize the zero state")
-        return WaveFunction(self.values / n, self.grid, self.chart, self.sqrt_g)
-
-    def expectation_position(self):
-        p = self.weights * np.abs(self.values) ** 2
-        total = p.sum()
-        return (p @ self.grid.nodes()) / total
-
-    def density(self):
-        """|psi|^2 reshaped to the grid."""
-        return (np.abs(self.values) ** 2).reshape(self.grid.shape)
-
-
 def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
                smooth_length=None):
-    """Build a normalized initial state with zero boundary values.
+    """Initial amplitudes: zero on the boundary, of unit sqrt(g) prod h-weighted norm.
 
     kinds:
       - ``uniform``: constant amplitude.
@@ -99,18 +60,20 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         "random distribution" for the bundled experiments: it keeps the
         randomness while leaving the state in the low-energy sector the
         descent dynamics can actually funnel.
+
+    A sqrt(g) that is not positive and finite at a node raises ``SingularMetricError``.
     """
     for key, v in (("width", width), ("smooth_length", smooth_length)):
         if v is not None and not (0 < v < np.inf):   # NaN fails as well
             raise ParameterError(f"{key} must be finite and positive, got {v}")
-    boundary = grid.boundary_mask()
+    nodes = grid.nodes()
     if kind == "uniform":
         values = np.ones(grid.size, dtype=complex)
     elif kind == "gaussian":
         if width is None:
             raise ParameterError("gaussian init requires width > 0")
         c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
-        d2 = np.sum((grid.nodes() - c) ** 2, axis=1)
+        d2 = np.sum((nodes - c) ** 2, axis=1)
         values = np.exp(-d2 / (4.0 * width**2)).astype(complex)
     elif kind in ("random", "random-smooth"):
         rng = np.random.default_rng(seed)
@@ -126,9 +89,12 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
                       + 1j * _gaussian_filter(f.imag, sigmas)).ravel()
     else:
         raise ParameterError(f"unknown initial state kind: {kind!r}")
-    values[boundary] = 0.0
-    psi = WaveFunction(values, grid, chart)
-    return psi.normalized()
+    values[grid.boundary_mask()] = 0.0
+    w = node_sqrt_g(chart, nodes) * grid.cell_volume
+    norm = np.sqrt(np.sum(w * np.abs(values) ** 2))
+    if norm == 0:
+        raise ParameterError("cannot normalize the zero state")
+    return values / norm
 
 
 def _gaussian_filter(f, sigmas):
@@ -326,60 +292,51 @@ class EvolutionTrace:
 
 def evolve(chart, grid, potential, schedule, initial, sample_times=None,
            frame_times=(), include_weyl_correction=False, mass=1.0):
-    """Crank-Nicolson evolution; records <x>(t), norm(t) and density frames.
+    """Crank-Nicolson evolution of the amplitudes ``initial`` (see ``init_state``).
 
-    ``sample_times`` defaults to every ``max(1, n_steps // 400)``-th step
-    (every step below 800 steps) plus the endpoint; all requested times are
-    snapped to step boundaries.
+    Records <x>(t) and the weighted norm at ``sample_times`` and |psi|^2 at
+    ``frame_times``.  Each requested time is recorded once, at the step whose
+    time is nearest it (the earlier one on a tie; the last step may be
+    short), and each step at most once.  A time outside [0, t_end] is a
+    ``ParameterError``.  ``sample_times`` defaults to every
+    ``max(1, n_steps // 400)``-th step (every step below 800 steps) and t_end.
     """
-    dt = schedule.dt
-    t_end = schedule.t_end
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        n_steps = int(np.ceil(t_end / dt - 1e-12))
+    dt, t_end = schedule.dt, schedule.t_end
+    n_steps = int(np.ceil(t_end / dt - 1e-9))
     if sample_times is None:
-        stride = max(1, n_steps // 400)
-        sample_times = [k * dt for k in range(0, n_steps + 1, stride)]
-        if sample_times[-1] < t_end:
-            sample_times.append(t_end)
-    sample_times = np.asarray(sorted(sample_times), dtype=float)
-    if sample_times.size and (sample_times[0] < -1e-12 or sample_times[-1] > t_end + 1e-9):
-        raise ParameterError("sample times must lie within [0, t_end]")
-    frame_times = np.asarray(sorted(frame_times), dtype=float)
+        sample_times = [k * dt for k in range(0, n_steps, max(1, n_steps // 400))] + [t_end]
+    requested = [np.sort(np.asarray(ts, dtype=float).ravel()) for ts in (sample_times, frame_times)]
+    if not all(np.all((ts >= -1e-12) & (ts <= t_end + 1e-9)) for ts in requested):
+        raise ParameterError(f"sample and frame times must lie within [0, t_end = {t_end}]")
+    psi = np.asarray(initial, dtype=complex)
+    if psi.shape != (grid.size,):
+        raise ParameterError("the initial state needs one amplitude per grid node")
 
     stepper = CrankNicolsonStepper(
         chart, grid, potential, schedule, mass,
         include_weyl_correction=include_weyl_correction,
     )
-    psi = initial.values.copy()
-    sqrt_g = stepper.sqrt_g
-
+    nodes = grid.nodes()
+    w = stepper.sqrt_g * grid.cell_volume
     times, positions, norms, frames = [], [], [], []
-    si = fi = 0
-
-    def record(t_now, values):
-        nonlocal si, fi
-        state = WaveFunction(values, grid, chart, sqrt_g)
-        while si < sample_times.size and sample_times[si] <= t_now + dt / 2:
-            times.append(t_now)
-            positions.append(state.expectation_position())
-            norms.append(state.weighted_norm())
-            si += 1
-        while fi < frame_times.size and frame_times[fi] <= t_now + dt / 2:
-            frames.append((t_now, state.density()))
-            fi += 1
-
-    record(0.0, psi)
-    t = 0.0
-    for k in range(n_steps):
-        step_dt = min(dt, t_end - t)
-        psi = stepper.step(psi, t, step_dt)
-        t += step_dt
-        record(t, psi)
-
-    return EvolutionTrace(
-        times=np.asarray(times),
-        positions=np.asarray(positions).reshape(len(times), grid.dim),
-        norms=np.asarray(norms),
-        frames=frames,
-    )
+    n_recorded = [0, 0]    # sample and frame times recorded so far
+    t, step_dt = 0.0, dt
+    for k in range(n_steps + 1):
+        if k:   # step 0 records the initial state
+            psi = stepper.step(psi, t, step_dt)
+            t += step_dt
+            step_dt = min(dt, t_end - t)
+        # the requested times up to the midpoint of the next step are nearest this one
+        cut = t + step_dt / 2 if k < n_steps else np.inf
+        n_due = [np.searchsorted(ts, cut, side="right") for ts in requested]
+        if n_due[0] > n_recorded[0]:
+            p = w * np.abs(psi) ** 2
+            total = p.sum()
+            times.append(t)
+            positions.append((p @ nodes) / total)
+            norms.append(np.sqrt(total))
+        if n_due[1] > n_recorded[1]:
+            frames.append((t, (np.abs(psi) ** 2).reshape(grid.shape)))
+        n_recorded = n_due
+    return EvolutionTrace(np.asarray(times), np.asarray(positions).reshape(len(times), grid.dim),
+                          np.asarray(norms), frames)

@@ -93,6 +93,21 @@ def test_evolve_outputs_and_determinism(tmp_path):
     assert frame.shape == (24, 24)
 
 
+def test_evolve_records_t_end_after_a_short_last_step(tmp_path):
+    # steps end at 0.1, 0.2 and 0.25; the samples are 0, 0.125 and 0.25
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9, "sample_every": 0.1,
+                                  "frame_times": [0.25],
+                                  "schedule": {**SMALL_EVOLVE["schedule"],
+                                               "t_end": 0.25, "dt": 0.1}})
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    assert [p.name for p in (out / "south_v").glob("frame_*")] == ["frame_0.250000.csv"]
+    rows = np.loadtxt(out / "south_v" / "trace.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0] == pytest.approx([0.0, 0.1, 0.25], abs=1e-12)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["results"]["south_v"]["final_position"] == list(rows[-1, 1:3])
+
+
 def test_evolve_seed_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, SMALL_EVOLVE)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -204,6 +219,9 @@ def a_expr_schedule(a_expr, dt):
                  id="exp(1000*t)-small-steps"),
     # 1 / (2 m a) = 5e307 times the stencil overflows in the first step
     pytest.param({"mass": 1e-308}, "SolverError", id="mass=1e-308"),
+    # sqrt(g) underflows to 0 at every node of an even grid, which has no centre node
+    pytest.param({"charts": [dict(SMALL_EVOLVE["charts"][0], radius=1e-100)], "grid": 8},
+                 "SingularMetricError", id="radius=1e-100"),
 ])
 def test_evolve_schedule_that_divides_by_zero_or_overflows_exits_3(tmp_path, capsys,
                                                                   change, kind):
@@ -268,13 +286,21 @@ def test_bound_command(capsys):
         assert_one_json_error(capsys)
 
 
-def test_complexity_command(tmp_path):
-    path = write_config(tmp_path, dict(SMALL_COMPLEXITY, grid=32))
+@pytest.mark.parametrize("t_star, ratio_range", [
+    pytest.param(SMALL_COMPLEXITY["t_star"], (0.5, 2.0), id="bound"),
+    # a t* shorter than any step size still has a query cost; with the same
+    # t* on both charts the ratio grows with alpha_H, by less than its 10
+    pytest.param({"source": "measured", "epsilon_star": 0.05,
+                  "values": {"qhd_flat": 5e-4, "qrhd_metric": 5e-4}}, (1.0, 10.0),
+                 id="measured=5e-4"),
+])
+def test_complexity_command(tmp_path, t_star, ratio_range):
+    path = write_config(tmp_path, dict(SMALL_COMPLEXITY, grid=32, t_star=t_star))
     out = tmp_path / "cx"
     assert main(["complexity", "--config", path, "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["alpha_ratio"] == pytest.approx(10.0, rel=1e-6)
-    assert 0.5 <= rep["total_ratio"] <= 2.0
+    assert ratio_range[0] <= rep["total_ratio"] <= ratio_range[1]
     r = rep["reports"]["qhd_flat"]
     for key in ("alpha_h", "beta_h", "schedule_integral", "dyson_factor",
                 "n_query_a", "n_query_ub", "n_query_total", "log_delta"):

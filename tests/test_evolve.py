@@ -15,7 +15,6 @@ from qrhd import (
     Schedule,
     SolverError,
     SphereStereographicChart,
-    WaveFunction,
     assemble_laplace_beltrami,
     evolve,
     init_state,
@@ -33,29 +32,43 @@ def flat_grid(dim=1, n=5, width=None):
     return chart, Grid.for_chart(chart, n)
 
 
+def weights(chart, grid):
+    """The measure sqrt(g) prod h of the weighted inner product, at the nodes."""
+    return chart.sqrt_det_many(grid.nodes()) * grid.cell_volume
+
+
+def weighted_norm(chart, grid, values):
+    return float(np.sqrt(np.sum(weights(chart, grid) * np.abs(values) ** 2)))
+
+
+def weighted_mean_position(chart, grid, values):
+    p = weights(chart, grid) * np.abs(values) ** 2
+    return (p @ grid.nodes()) / p.sum()
+
+
 def test_uniform_state_amplitude():
     chart, grid = flat_grid(1, 5)          # h = 1, three interior nodes
     psi = init_state(grid, chart, "uniform")
-    assert psi.values[0] == 0 and psi.values[-1] == 0
-    assert np.allclose(psi.values[1:4], 1 / np.sqrt(3))
-    assert psi.weighted_norm() == pytest.approx(1.0, abs=1e-12)
+    assert psi[0] == 0 and psi[-1] == 0
+    assert np.allclose(psi[1:4], 1 / np.sqrt(3))
+    assert weighted_norm(chart, grid, psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_state_deterministic_and_normalized():
     chart, grid = flat_grid(2, 9)
     a = init_state(grid, chart, "random", seed=7)
     b = init_state(grid, chart, "random", seed=7)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = init_state(grid, chart, "random", seed=8)
-    assert not np.array_equal(a.values, c.values)
-    assert a.weighted_norm() == pytest.approx(1.0, abs=1e-12)
+    assert not np.array_equal(a, c)
+    assert weighted_norm(chart, grid, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_state_weighted_norm_on_sphere():
     chart = SphereStereographicChart(3, 1.0, pole="south")
     grid = Grid.for_chart(chart, 33)
     psi = init_state(grid, chart, "gaussian", center=[0.1, -0.2], width=0.2)
-    assert psi.weighted_norm() == pytest.approx(1.0, abs=1e-12)
+    assert weighted_norm(chart, grid, psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_smooth_state_seeded():
@@ -63,8 +76,8 @@ def test_random_smooth_state_seeded():
     grid = Grid.for_chart(chart, 33)
     a = init_state(grid, chart, "random-smooth", seed=3, smooth_length=0.25)
     b = init_state(grid, chart, "random-smooth", seed=3, smooth_length=0.25)
-    assert np.array_equal(a.values, b.values)
-    assert a.weighted_norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(a, b)
+    assert weighted_norm(chart, grid, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_init_state_validation():
@@ -95,7 +108,7 @@ def test_kinetic_matrix_carries_the_crank_nicolson_pattern(chart):
     pot = quadratic_potential(np.eye(2), 0.1)
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
-    stepper.step(init_state(grid, chart, "random", seed=1).values, 0.0, 0.01)
+    stepper.step(init_state(grid, chart, "random", seed=1), 0.0, 0.01)
     assert np.array_equal(stepper._A.indptr, stepper.kinetic.indptr)
     assert np.array_equal(stepper._A.indices, stepper.kinetic.indices)
 
@@ -107,7 +120,7 @@ def test_stepper_step_matches_dense_cayley_solve():
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1,
                                    include_weyl_correction=True)
-    psi = init_state(grid, chart, "random", seed=2).values
+    psi = init_state(grid, chart, "random", seed=2)
     t, dt = 0.3, 0.05
     H = stepper.hamiltonian(t + 0.5 * dt).toarray()
     eye = np.eye(grid.size)
@@ -124,11 +137,11 @@ def test_cn_ground_state_is_stationary():
     sched = Schedule(eta=1.0, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 1.0)
     evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).toarray())
-    psi0 = WaveFunction(evecs[:, 0], grid, chart).normalized()
-    psi = psi0.values
+    psi0 = evecs[:, 0] / weighted_norm(chart, grid, evecs[:, 0])
+    psi = psi0
     for k in range(100):
         psi = stepper.step(psi, k * 0.01, 0.01)
-    overlap = np.sum(psi0.weights * np.conj(psi0.values) * psi)
+    overlap = np.sum(weights(chart, grid) * np.conj(psi0) * psi)
     assert abs(abs(overlap) - 1.0) < 1e-6
 
 
@@ -138,7 +151,7 @@ def test_time_reversal_with_frozen_hamiltonian():
     a = np.exp(2 * 0.25 * 0.4)  # the exponential schedule frozen at t = 0.4
     sched = Schedule(eta=0.1, t_end=1.0, dt=0.01, a=lambda t: a)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
-    psi = init_state(grid, chart, "random", seed=11).values
+    psi = init_state(grid, chart, "random", seed=11)
     fwd = stepper.step(psi, 0.0, 0.02)
     back = stepper.step(fwd, 0.02, -0.02)
     assert np.abs(back - psi).max() < 1e-9
@@ -168,13 +181,45 @@ def test_evolve_matches_manual_stepping(chart, weyl):
         interior = ~grid.boundary_mask()
         dV[interior] = [quantum_corrections(chart, p, 0.1)[0] for p in nodes[interior]]
     eye = np.eye(grid.size)
-    psi = initial.values
+    psi = initial
     for k in range(5):
         a = np.exp(2 * 0.25 * (k * 0.01 + 0.005))
         H = -D / (2 * 0.1 * a) + np.diag(a * 0.1 * V + dV / a)
         psi = np.linalg.solve(eye + 0.005j * H, (eye - 0.005j * H) @ psi)
-    expected = WaveFunction(psi, grid, chart).expectation_position()
+    expected = weighted_mean_position(chart, grid, psi)
     assert np.abs(trace.positions[-1] - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("t_end, dt, requested, expected", [
+    # the short last step is a step, so t_end is recorded at t_end
+    (0.25, 0.1, [0.0, 0.125, 0.25], [0.0, 0.1, 0.25]),
+    # 0.01 is a tie between the steps at 0 and 0.02 and goes to the earlier one
+    (0.04, 0.02, [0.0, 0.005, 0.01, 0.015, 0.02], [0.0, 0.02]),
+], ids=["short_last_step", "no_duplicate_rows"])
+def test_each_requested_time_is_recorded_once_at_its_nearest_step(t_end, dt, requested,
+                                                                  expected):
+    chart = SphereStereographicChart(3, 1.0, pole="south")
+    grid = Grid.for_chart(chart, 9)
+    pot = sphere_quadratic_potential(np.eye(3), 1.0, chart)
+    sched = Schedule(gamma=0.25, eta=1.0, t_end=t_end, dt=dt)
+    trace = evolve(chart, grid, pot, sched, init_state(grid, chart, "random", seed=1),
+                   sample_times=requested, frame_times=requested)
+    assert trace.times == pytest.approx(expected, abs=1e-12)
+    assert [t for t, _ in trace.frames] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("change", [
+    {"frame_times": [1.5]},
+    {"frame_times": [-0.5, 0.5]},
+    {"frame_times": [float("nan")]},
+    {"initial": np.zeros(80)},
+], ids=["frame_after_t_end", "frame_before_0", "frame=nan", "initial_too_short"])
+def test_evolve_rejects_times_outside_the_run_and_a_misshapen_state(change):
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
+    args = {"initial": init_state(grid, chart, "random", seed=1), **change}
+    with pytest.raises(ParameterError):
+        evolve(chart, grid, quadratic_potential(A1, 0.1), sched, **args)
 
 
 def test_norm_conservation_and_dissipation_proxy():
@@ -235,14 +280,14 @@ def test_expectation_position_special_states():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 41)
     psi = init_state(grid, chart, "gaussian", center=[0.25, -0.125], width=0.08)
-    assert np.abs(psi.expectation_position() - [0.25, -0.125]).max() < 1e-10
+    assert np.abs(weighted_mean_position(chart, grid, psi) - [0.25, -0.125]).max() < 1e-10
     # delta-like state
     vals = np.zeros(grid.size, complex)
     k = grid.ravel_index((13, 27))
     vals[k] = 1.0
-    delta = WaveFunction(vals, grid, chart).normalized()
-    assert np.allclose(delta.expectation_position(), grid.nodes()[k])
-    assert delta.weighted_norm() == pytest.approx(1.0, abs=1e-12)
+    delta = vals / weighted_norm(chart, grid, vals)
+    assert np.allclose(weighted_mean_position(chart, grid, delta), grid.nodes()[k])
+    assert weighted_norm(chart, grid, delta) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_first_crossing_interpolates():
@@ -268,7 +313,7 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
     pot = quadratic_potential(A1, 0.1)
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
-    psi = init_state(grid, chart, "random", seed=1).values
+    psi = init_state(grid, chart, "random", seed=1)
     # every solve stops at relative residual 1e-3; count solves and factors
     mod = sys.modules["qrhd.evolve"]
     calls = {"solve": 0, "factor": 0}
@@ -297,7 +342,7 @@ def test_stalled_solve_refreshes_once_then_raises(monkeypatch):
 def test_non_finite_solve_retries_from_the_previous_state(monkeypatch):
     chart, grid = flat_grid(2, 9)
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
-    psi = init_state(grid, chart, "random", seed=1).values
+    psi = init_state(grid, chart, "random", seed=1)
     pot = quadratic_potential(A1, 0.1)
     ref = CrankNicolsonStepper(chart, grid, pot, sched, 0.1).step(psi, 0.0, 0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 0.1)
@@ -321,7 +366,7 @@ def test_window_refresh_releases_the_stale_factor(monkeypatch):
     chart, grid = flat_grid(2, 9)
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
-    psi = init_state(grid, chart, "random", seed=1).values
+    psi = init_state(grid, chart, "random", seed=1)
     mod = sys.modules["qrhd.evolve"]
     held = []
     real_factor = mod._factor
@@ -360,7 +405,7 @@ def test_bicgstab_stops_at_half_step_with_exact_preconditioner():
     chart, grid = flat_grid(2, 9)
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
-    psi = init_state(grid, chart, "random", seed=1).values
+    psi = init_state(grid, chart, "random", seed=1)
     dt = 0.01
     H = stepper.hamiltonian(0.5 * dt)
     A = (sp.identity(grid.size) + 0.5j * dt * H).tocsr()
