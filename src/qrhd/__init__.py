@@ -11,7 +11,6 @@ interaction-picture simulation on top.
 
 from .errors import (
     BlowUpError,
-    ConvergenceError,
     DomainError,
     NumericError,
     ParameterError,
@@ -38,7 +37,6 @@ from .discretize import (
     Schedule,
     assemble_laplace_beltrami,
     quadratic_potential,
-    spectral_norm,
     sphere_quadratic_potential,
 )
 from .evolve import (

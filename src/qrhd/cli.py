@@ -480,6 +480,9 @@ def cmd_complexity(args):
             # the T ~ 1/gamma regime of the cost model: match the schedule
             # to the measured time scale
             T, gamma_used = value, factor / value
+        if not T > 0:
+            raise ParameterError(f"t* from the bound is {T} for chart {cname!r}: "
+                                 f"t_star epsilon_star {eps_star} leaves nothing to converge")
         sched = Schedule(gamma_used, eta, T, T)   # the query cost takes no steps
         alpha = kinetic_norm_bound(chart, grid, mass, sched, representation=representation)
         D = assemble_laplace_beltrami(chart, grid)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ConvergenceError, ParameterError, ScheduleError, SingularMetricError
+from .errors import ParameterError, ScheduleError, SingularMetricError
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,6 @@ class Grid:
             mask[tuple(sl)] = True
         return mask.ravel()
 
-    def ravel_index(self, multi_index):
-        return int(np.ravel_multi_index(multi_index, self.shape))
-
 
 @dataclass
 class PotentialField:
@@ -106,9 +103,6 @@ class PotentialField:
 
     def value_at(self, point):
         return float(np.real(self.fn(np.asarray(point))))
-
-    def __call__(self, point):
-        return self.fn(np.asarray(point))
 
     def gradient_at(self, point):
         p = np.asarray(point)
@@ -310,30 +304,3 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
         return D, sqrt_g
     return D
 
-
-def spectral_norm(A, tol=1e-6, max_iterations=10_000):
-    """Largest singular value by power iteration on A^H A.
-
-    Deterministic all-ones start vector; relative tolerance on successive
-    estimates.  Raises ``ConvergenceError`` carrying the last iterate if the
-    tolerance is not met within ``max_iterations``.
-    """
-    if A.shape[0] != A.shape[1]:
-        raise ParameterError("spectral_norm expects a square operator")
-    AH = A.conjugate().T.tocsr()
-    v = np.ones(A.shape[1], dtype=A.dtype) / np.sqrt(A.shape[1])
-    est = 0.0
-    for _ in range(max_iterations):
-        w = AH @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new_est = np.sqrt(nw)
-        v = w / nw
-        if abs(new_est - est) <= tol * new_est:
-            return float(new_est)
-        est = new_est
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iterations} iterations",
-        last_iterate=est,
-    )

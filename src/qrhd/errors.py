@@ -42,13 +42,5 @@ class SolverError(NumericError):
         self.residual = residual
 
 
-class ConvergenceError(NumericError):
-    """Iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class BlowUpError(NumericError):
     """Trajectory became non-finite."""

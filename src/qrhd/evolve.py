@@ -234,13 +234,6 @@ class CrankNicolsonStepper:
             diag = diag + (ck * 2.0 * self.mass) * self.weyl_nodes
         return ck, diag
 
-    def hamiltonian(self, t):
-        """H(t) as a CSR matrix; W H is symmetric."""
-        import scipy.sparse as sp
-
-        ck, diag = self.hamiltonian_parts(t)
-        return (ck * self.kinetic + sp.diags(diag)).tocsr()
-
     @np.errstate(all="ignore")   # an H(t) past the float range surfaces as a non-finite residual
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""

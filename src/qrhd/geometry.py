@@ -135,10 +135,6 @@ class MetricChart:
         term = np.einsum('...jlk->...ljk', dg) + np.einsum('...klj->...ljk', dg) - dg
         return 0.5 * np.einsum('...il,...ljk->...ijk', ginv, term)
 
-    def christoffel_trace_at(self, point):
-        """Gamma_i = sum_j Gamma^j_{ij} = d_i log sqrt(g)."""
-        return np.einsum('...jij->...i', self.christoffel_at(point))
-
     def _curvature(self, point):
         """(g^{ij}, Gamma^i_jk, dgam, scalar curvature) with dgam[..., m, i, j, k]
         = d_m Gamma^i_jk, from one difference of the connection."""
@@ -237,10 +233,8 @@ class ConstantChart(MetricChart):
     def christoffel_at(self, point):
         return self._repeat(point, np.zeros((self.dim,) * 3))
 
-    def christoffel_trace_at(self, point):
-        return self._repeat(point, np.zeros(self.dim))
-
-    log_sqrt_g_gradient_many = christoffel_trace_at
+    def log_sqrt_g_gradient_many(self, points):
+        return self._repeat(points, np.zeros(self.dim))
 
     def ricci_scalar_at(self, point):
         return self._repeat(point, 0.0)
@@ -348,12 +342,10 @@ class SphereStereographicChart(MetricChart):
         return (np.einsum('...i,...i->...', b, velocities)[..., None] * velocities
                 - 0.5 * np.einsum('...i,...i->...', velocities, velocities)[..., None] * b)
 
-    def christoffel_trace_at(self, point):
-        # Gamma_i = d_i log sqrt(g) = (d / 2) d_i xi
-        v = np.asarray(point)
+    def log_sqrt_g_gradient_many(self, points):
+        # d_i log sqrt(g) = Gamma^j_ij = (d / 2) d_i xi
+        v = np.asarray(points)
         return (0.5 * self.dim * self._xi_slope(v))[..., None] * v
-
-    log_sqrt_g_gradient_many = christoffel_trace_at
 
     def ricci_scalar_at(self, point):
         # constant positive curvature of the (N-1)-sphere of radius R

@@ -41,8 +41,16 @@ from .geometry import SphereStereographicChart
 
 # -- effective potential -----------------------------------------------------
 
-def _effective_gradient(chart, potential, p, schedule, t, mass, corrections, log_measure):
-    """grad V_eff over an (n, dim) stack; the two correction terms by flag."""
+def effective_potential_gradient(chart, potential, p, schedule, t, mass,
+                                 corrections=False, log_measure=False):
+    """Gradient of V_eff at a (possibly complex) chart point or (..., dim) stack.
+
+    With both flags off this is just grad V.  ``corrections`` adds the
+    chart's gradient of the ordering correction dV + dV' over eta a^2, and
+    ``log_measure`` the measure term -i/(eta a) grad log sqrt(g), both
+    continued to complex points; a chart without closed forms for them
+    raises ``ParameterError``.
+    """
     grad = potential.gradient_at(p)
     if not (corrections or log_measure):
         return grad
@@ -55,22 +63,6 @@ def _effective_gradient(chart, potential, p, schedule, t, mass, corrections, log
     if log_measure:
         grad = grad - 1j * chart.log_sqrt_g_gradient_many(p) / (eta * a)
     return grad
-
-
-def effective_potential_gradient(chart, potential, point, schedule, t, mass,
-                                 corrections=True):
-    """Gradient of V_eff at a (possibly complex) chart point or (n, dim) stack.
-
-    With ``corrections`` off this is just grad V.  With corrections on it
-    adds the chart's gradient of the ordering correction dV + dV' over
-    eta a^2 and the measure term -i/(eta a) grad log sqrt(g), both continued
-    to complex points; a chart without closed forms for them raises
-    ``ParameterError``.
-    """
-    p = np.asarray(point)
-    grad = _effective_gradient(chart, potential, np.atleast_2d(p), schedule, t, mass,
-                               corrections, corrections)
-    return grad if p.ndim == 2 else grad[0]
 
 
 def _eom_rhs(chart, potential, schedule, mass, corrections, log_measure):
@@ -88,8 +80,8 @@ def _eom_rhs(chart, potential, schedule, mass, corrections, log_measure):
     def rhs(t, y):
         p, v = y[:, :dim], y[:, dim:]
         w = p.real
-        grad = _effective_gradient(chart, potential, p, schedule, t, mass,
-                                   corrections, log_measure)
+        grad = effective_potential_gradient(chart, potential, p, schedule, t, mass,
+                                            corrections, log_measure)
         out = np.empty_like(y)
         out[:, :dim] = v
         out[:, dim:] = -(chart.geodesic_term_many(w, v) + 2.0 * gamma * v

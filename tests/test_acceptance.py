@@ -131,8 +131,8 @@ def alpha_measurements():
     gf, gm = Grid.for_chart(flat, 128), Grid.for_chart(metric, 128)
     a_flat = kinetic_norm_bound(flat, gf, 0.1, sched, representation="momentum")
     a_metric = kinetic_norm_bound(metric, gm, 0.1, sched, representation="momentum")
-    a_flat_st = kinetic_norm_bound(flat, gf, 0.1, sched, tol=1e-5)
-    a_metric_st = kinetic_norm_bound(metric, gm, 0.1, sched, tol=1e-5)
+    a_flat_st = kinetic_norm_bound(flat, gf, 0.1, sched, representation="stencil")
+    a_metric_st = kinetic_norm_bound(metric, gm, 0.1, sched, representation="stencil")
     sparsity = measured_sparsity(assemble_laplace_beltrami(metric, gm))
     return dict(momentum=(a_flat, a_metric), stencil=(a_flat_st, a_metric_st),
                 sparsity=sparsity)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,7 +150,9 @@ def strict_json(line):
 def assert_one_json_error(capsys, kind="ParameterError"):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert strict_json(lines[0])["error"] == kind
+    record = strict_json(lines[0])
+    assert record["error"] == kind
+    return record
 
 
 @pytest.mark.parametrize("case", [
@@ -307,19 +310,22 @@ def test_complexity_command(tmp_path, t_star, ratio_range):
         assert key in r
 
 
-@pytest.mark.parametrize("change, code, kind", [
-    pytest.param({"charts": []}, 2, "ParameterError", id="no_charts"),
+@pytest.mark.parametrize("change, code, kind, message", [
+    pytest.param({"charts": []}, 2, "ParameterError", "charts", id="no_charts"),
     # alpha T / epsilon overflows, so the Dyson factor is inf / inf
-    pytest.param({"epsilon": 1e-308}, 3, "NumericError", id="epsilon=1e-308"),
+    pytest.param({"epsilon": 1e-308}, 3, "NumericError", "not finite", id="epsilon=1e-308"),
     # t* ~ 1420 / (2 gamma): a(t*) = e^1420 and the schedule integral overflow
     pytest.param({"t_star": dict(SMALL_COMPLEXITY["t_star"], epsilon_star=1e-308)},
-                 3, "NumericError", id="epsilon_star=1e-308"),
+                 3, "NumericError", "not finite", id="epsilon_star=1e-308"),
+    # the bound t* is 0 at epsilon_star 1; the error names t*, not a dt
+    pytest.param({"t_star": dict(SMALL_COMPLEXITY["t_star"], epsilon_star=1.0)},
+                 2, "ParameterError", r"t\* .*epsilon_star", id="bound_epsilon_star=1"),
 ])
-def test_complexity_rejects_with_one_typed_error(tmp_path, capsys, change, code, kind):
+def test_complexity_rejects_with_one_typed_error(tmp_path, capsys, change, code, kind, message):
     out = tmp_path / "never"
     cfg = write_config(tmp_path, {**SMALL_COMPLEXITY, **change})
     assert main(["complexity", "--config", cfg, "--out", str(out)]) == code
-    assert_one_json_error(capsys, kind)
+    assert re.search(message, assert_one_json_error(capsys, kind)["message"])
     assert not out.exists()
 
 

@@ -68,12 +68,12 @@ def test_kinetic_norm_max_at_t_zero_and_mass_scaling():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 17)
     sched = Schedule(gamma=0.5, eta=1.0, t_end=4.0, dt=0.1)
-    a1 = kinetic_norm_bound(chart, grid, 1.0, sched, tol=1e-8)
+    a1 = kinetic_norm_bound(chart, grid, 1.0, sched, representation="stencil")
     # max over t of e^{-2 gamma t} sits at t = 0
     sched0 = Schedule(gamma=0.5, eta=1.0, t_end=1e-9, dt=1e-9)
-    a0 = kinetic_norm_bound(chart, grid, 1.0, sched0, tol=1e-8)
+    a0 = kinetic_norm_bound(chart, grid, 1.0, sched0, representation="stencil")
     assert a1 == pytest.approx(a0, rel=1e-9)
-    a_half = kinetic_norm_bound(chart, grid, 2.0, sched, tol=1e-8)
+    a_half = kinetic_norm_bound(chart, grid, 2.0, sched, representation="stencil")
     assert a_half == pytest.approx(a1 / 2.0, rel=1e-9)
     am = kinetic_norm_bound(chart, grid, 1.0, sched, representation="momentum")
     am_half = kinetic_norm_bound(chart, grid, 2.0, sched, representation="momentum")
@@ -120,9 +120,30 @@ def test_stencil_representation_undershoots_momentum_for_mixed_metrics():
     sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     grid_f = Grid.for_chart(flat, 48)
     grid_m = Grid.for_chart(metric, 48)
-    af = kinetic_norm_bound(flat, grid_f, 0.1, sched, tol=1e-6)
-    am = kinetic_norm_bound(metric, grid_m, 0.1, sched, tol=1e-6)
+    af = kinetic_norm_bound(flat, grid_f, 0.1, sched, representation="stencil")
+    am = kinetic_norm_bound(metric, grid_m, 0.1, sched, representation="stencil")
     assert am / af == pytest.approx(5.26, rel=0.02)
+
+
+def test_stencil_norm_is_the_analytic_flat_value():
+    # the top eigenvalue of the 46^2 interior 5-point Laplacian, mode (46, 46):
+    # 2 (4 / h^2) sin^2(46 pi / 94), over 2 m with m = 1
+    chart = FlatChart(2)
+    grid = Grid.for_chart(chart, 48)
+    h = grid.spacing[0]
+    exact = 2.0 * (4.0 / h**2) * np.sin(46 * np.pi / 94) ** 2 / 2.0
+    got = kinetic_norm_bound(chart, grid, 1.0, Schedule(), representation="stencil")
+    assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_stencil_norm_of_a_nonsymmetric_operator_is_its_largest_singular_value():
+    chart = SphereStereographicChart(3, 1.0, pole="south")
+    grid = Grid.for_chart(chart, 15)
+    D = assemble_laplace_beltrami(chart, grid)
+    assert abs(D - D.T).max() > 0
+    dense = np.linalg.norm(D.toarray(), 2)
+    got = kinetic_norm_bound(chart, grid, 0.5, Schedule(), representation="stencil")
+    assert got == pytest.approx(dense, rel=1e-10)
 
 
 def test_measured_sparsity():

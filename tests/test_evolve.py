@@ -26,6 +26,14 @@ from qrhd import (
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
 
 
+def hamiltonian(stepper, t):
+    """H(t) = ck K + diag(diag) as CSR, from the stepper's parts."""
+    import scipy.sparse as sp
+
+    ck, diag = stepper.hamiltonian_parts(t)
+    return (ck * stepper.kinetic + sp.diags(diag)).tocsr()
+
+
 def flat_grid(dim=1, n=5, width=None):
     w = (n - 1.0) if width is None else width
     chart = FlatChart(dim, domain=(np.zeros(dim), w * np.ones(dim)))
@@ -122,7 +130,7 @@ def test_stepper_step_matches_dense_cayley_solve():
                                    include_weyl_correction=True)
     psi = init_state(grid, chart, "random", seed=2)
     t, dt = 0.3, 0.05
-    H = stepper.hamiltonian(t + 0.5 * dt).toarray()
+    H = hamiltonian(stepper, t + 0.5 * dt).toarray()
     eye = np.eye(grid.size)
     expected = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ psi)
     out = stepper.step(psi, t, dt)
@@ -136,7 +144,7 @@ def test_cn_ground_state_is_stationary():
     pot = PotentialField(lambda x: 0.5 * x[..., 0] ** 2)
     sched = Schedule(eta=1.0, t_end=1.0, dt=0.01)
     stepper = CrankNicolsonStepper(chart, grid, pot, sched, 1.0)
-    evals, evecs = np.linalg.eigh(stepper.hamiltonian(0.0).toarray())
+    evals, evecs = np.linalg.eigh(hamiltonian(stepper, 0.0).toarray())
     psi0 = evecs[:, 0] / weighted_norm(chart, grid, evecs[:, 0])
     psi = psi0
     for k in range(100):
@@ -263,17 +271,24 @@ def test_no_force_keeps_centroid_and_norm():
 def test_dt_refinement_second_order():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 33)
-    pot = quadratic_potential(A1, 0.1)
     initial = init_state(grid, chart, "gaussian", center=[0.3, -0.2], width=0.2)
-    finals = []
-    for dt in (0.04, 0.02, 0.01):
-        sched = Schedule(gamma=0.25, eta=0.1, t_end=2.0, dt=dt)
-        tr = evolve(chart, grid, pot, sched, initial, sample_times=[2.0], mass=0.1)
-        finals.append(tr.positions[-1])
-    d1 = np.linalg.norm(finals[0] - finals[1])
-    d2 = np.linalg.norm(finals[1] - finals[2])
-    assert d2 < d1 / 4.0 * 4.0  # the next halving shrinks the change
-    assert d2 <= d1             # and monotonically so
+
+    def changes(mass, dts):
+        """|<x>(2)| moved by each halving of dt."""
+        pot = quadratic_potential(A1, mass)
+        finals = [evolve(chart, grid, pot, Schedule(gamma=0.25, eta=0.1, t_end=2.0, dt=dt),
+                         initial, sample_times=[2.0], mass=mass).positions[-1]
+                  for dt in dts]
+        return [np.linalg.norm(a - b) for a, b in zip(finals, finals[1:])]
+
+    # at mass 10 the initial energy spread is 0.6, so dt times it is small
+    # and each halving cuts the change by the 4 of a second-order method
+    d = changes(10.0, (0.04, 0.02, 0.01, 0.005))
+    assert all(3.5 <= d[i] / d[i + 1] <= 4.5 for i in range(2))
+    # at mass 0.1 it is 62, 2.5 per step of 0.04: CN is not in its asymptotic
+    # regime, and only the first change shrinks (the next halving grows it)
+    d1, d2 = changes(0.1, (0.04, 0.02, 0.01))
+    assert d2 < d1
 
 
 def test_expectation_position_special_states():
@@ -283,7 +298,7 @@ def test_expectation_position_special_states():
     assert np.abs(weighted_mean_position(chart, grid, psi) - [0.25, -0.125]).max() < 1e-10
     # delta-like state
     vals = np.zeros(grid.size, complex)
-    k = grid.ravel_index((13, 27))
+    k = np.ravel_multi_index((13, 27), grid.shape)
     vals[k] = 1.0
     delta = vals / weighted_norm(chart, grid, vals)
     assert np.allclose(weighted_mean_position(chart, grid, delta), grid.nodes()[k])
@@ -407,7 +422,7 @@ def test_bicgstab_stops_at_half_step_with_exact_preconditioner():
     stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
     psi = init_state(grid, chart, "random", seed=1)
     dt = 0.01
-    H = stepper.hamiltonian(0.5 * dt)
+    H = hamiltonian(stepper, 0.5 * dt)
     A = (sp.identity(grid.size) + 0.5j * dt * H).tocsr()
     b = psi - 0.5j * dt * (H @ psi)
     lu = spla.splu(A.tocsc())

@@ -384,14 +384,14 @@ def test_curvature_bundle_zero_on_flat_charts(south3):
     for chart in (FlatChart(2), ConstantChart(A1)):
         p = np.array([0.1, -0.2])
         assert ricci_scalar(chart, p) == 0.0
-        assert np.all(chart.christoffel_trace_at(p) == 0.0)
+        assert np.all(chart.log_sqrt_g_gradient_many(p) == 0.0)
         assert quantum_corrections(chart, p, 1.0) == (0.0, 0.0)
     v = np.array([0.3, 0.1])
     assert ricci_scalar(south3, v) == pytest.approx(2.0)
     assert quantum_corrections(south3, v, 2.0)[0] == pytest.approx(-1.0 / 8.0, abs=1e-12)
     # grad log sqrt(g) = -2 d v / (R^2 (1 + s)), s = |v|^2 / R^2, here d = 2 and R = 1
     grad_logsg = -2.0 * 2 * v / (1.0 + v @ v)
-    assert np.allclose(south3.christoffel_trace_at(v), grad_logsg)
+    assert np.allclose(south3.log_sqrt_g_gradient_many(v), grad_logsg)
 
 
 STACK_CHARTS = [
@@ -414,7 +414,6 @@ def test_every_chart_method_takes_a_point_or_a_stack(chart):
         "sqrt_det_many": lambda p, w: chart.sqrt_det_many(p),
         "volume_inverse_metric_many": lambda p, w: chart.volume_inverse_metric_many(p),
         "christoffel_at": lambda p, w: chart.christoffel_at(p),
-        "christoffel_trace_at": lambda p, w: chart.christoffel_trace_at(p),
         "ricci_scalar_at": lambda p, w: chart.ricci_scalar_at(p),
         "quantum_corrections_many":
             lambda p, w: np.stack(chart.quantum_corrections_many(p, 0.6), axis=-1),

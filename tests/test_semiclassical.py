@@ -301,7 +301,7 @@ def test_generic_chart_rejects_corrections():
     with pytest.raises(ParameterError, match="log sqrt"):
         integrate_eom(chart, pot, sched, x0, v0, times, log_measure=True)
     with pytest.raises(ParameterError):
-        effective_potential_gradient(chart, pot, np.array([0.3]), sched, 0.0, 1.0, True)
+        effective_potential_gradient(chart, pot, np.array([0.3]), sched, 0.0, 1.0, True, True)
     traj = integrate_eom(chart, pot, sched, x0, v0, times)
     assert traj.times[-1] == 0.01 and traj.positions[-1, 0] > 0.3
 
@@ -313,8 +313,8 @@ def test_effective_gradient_flat_reduces_to_plain_gradient():
     pot = quadratic_potential(A1, 0.1)
     sched = Schedule(gamma=0.5, eta=0.1, t_end=1.0, dt=0.1)
     p = np.array([0.3, -0.4])
-    g_on = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1, True)
-    g_off = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1, False)
+    g_on = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1, True, True)
+    g_off = effective_potential_gradient(chart, pot, p, sched, 0.7, 0.1)
     expected = 0.1 * (A1 @ p)
     assert np.abs(g_on - expected).max() < 1e-12
     assert np.abs(g_off - expected).max() < 1e-12
@@ -328,7 +328,7 @@ def test_effective_gradient_requires_positive_eta_with_corrections():
 
     with pytest.raises(ScheduleError):
         effective_potential_gradient(chart, pot, np.array([0.1, 0.2]), sched,
-                                     0.0, 1.0, True)
+                                     0.0, 1.0, True, True)
 
 
 def test_measure_term_decays_at_twice_gamma():
@@ -344,7 +344,7 @@ def test_measure_term_decays_at_twice_gamma():
     ts = np.array([2.0, 3.0, 4.0, 5.0])
     ratios = []
     for t in ts:
-        g = effective_potential_gradient(chart, pot, p, sched, t, 1.0, True)
+        g = effective_potential_gradient(chart, pot, p, sched, t, 1.0, True, True)
         ratios.append(np.linalg.norm(g.imag) / np.linalg.norm(base))
     slope = np.polyfit(ts, np.log(ratios), 1)[0]
     assert slope == pytest.approx(-2 * gamma, rel=0.05)
