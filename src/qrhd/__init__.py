@@ -58,8 +58,6 @@ from .semiclassical import (
     run_instance_study,
 )
 from .complexity import (
-    ComplexityInputs,
-    QueryReport,
     dyson_factor,
     kinetic_norm_bound,
     measured_sparsity,

@@ -22,12 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .complexity import (
-    ComplexityInputs,
-    kinetic_norm_bound,
-    measured_sparsity,
-    query_count,
-)
+from .complexity import kinetic_norm_bound, measured_sparsity, query_count
 from .discretize import (
     Grid,
     Schedule,
@@ -42,6 +37,7 @@ from .geometry import (
     CustomChart,
     FlatChart,
     SphereStereographicChart,
+    check_mass,
     manifold_hessian,
     quantum_corrections,
 )
@@ -304,8 +300,7 @@ def _read_charts(cfg):
     """The mass and every chart's (name, chart, grid, potential), read from cfg."""
     with _reading("mass"):
         mass = float(cfg["mass"])
-    if not (np.isfinite(mass) and mass > 0):
-        raise ParameterError("mass must be finite and positive")
+    check_mass(mass)
     # each evolve run writes out_dir / name, so a name that is not a plain file
     # name escapes out_dir and a repeated one overwrites an earlier run
     names = [spec.get("name", spec.get("kind")) for spec in cfg["charts"]]
@@ -457,6 +452,10 @@ def cmd_complexity(args):
     src = cfg["t_star"].get("source")
     if src not in ("bound", "measured"):
         raise ParameterError("t_star source must be 'bound' or 'measured'")
+    # gamma and T come from t*, so the schedule sets eta alone
+    extra = sorted(set(cfg["schedule"]) - {"eta"})
+    if extra:
+        raise ParameterError(f"a complexity schedule sets only 'eta', got {extra}")
     with _reading("epsilon, delta, schedule eta and t_star epsilon_star"):
         epsilon, delta = float(cfg["epsilon"]), float(cfg["delta"])
         eta = float(cfg["schedule"].get("eta", 1.0))
@@ -484,14 +483,11 @@ def cmd_complexity(args):
             raise ParameterError(f"t* from the bound is {T} for chart {cname!r}: "
                                  f"t_star epsilon_star {eps_star} leaves nothing to converge")
         sched = Schedule(gamma_used, eta, T, T)   # the query cost takes no steps
-        alpha = kinetic_norm_bound(chart, grid, mass, sched, representation=representation)
-        D = assemble_laplace_beltrami(chart, grid)
-        v_max = float(np.max(np.abs(potential.node_values(grid))))
-        inputs = ComplexityInputs(alpha_h=alpha, v_max=v_max, schedule=sched,
-                                  T=T, sparsity=measured_sparsity(D),
-                                  epsilon=epsilon, delta=delta)
-        rep = query_count(inputs)
-        reports[cname] = dict(rep.to_dict(), t_star_source=src, gamma_used=gamma_used,
+        rep = query_count(kinetic_norm_bound(chart, grid, mass, representation),
+                          float(np.max(np.abs(potential.node_values(grid)))), sched,
+                          measured_sparsity(assemble_laplace_beltrami(chart, grid)),
+                          epsilon, delta)
+        reports[cname] = dict(rep, t_star_source=src, gamma_used=gamma_used,
                               alpha_representation=representation)
 
     out = {

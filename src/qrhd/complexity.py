@@ -14,57 +14,15 @@ log(1/delta):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 from .discretize import assemble_laplace_beltrami
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, ScheduleError
+from .geometry import check_mass
 
 
-@dataclass
-class ComplexityInputs:
-    alpha_h: float          # max_t norm of the kinetic term
-    v_max: float            # max of the potential over the domain
-    schedule: object        # Schedule (gamma, eta, a)
-    T: float                # simulation time
-    sparsity: int           # max nonzeros per row of the kinetic matrix
-    epsilon: float          # evolution error
-    delta: float            # failure probability
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.delta < 1.0):
-            raise ParameterError("epsilon and delta must lie in (0, 1)")
-        if self.T <= 0:
-            raise ParameterError("simulation time must be positive")
-        if self.alpha_h <= 0 or self.v_max <= 0 or self.sparsity <= 0:
-            raise ParameterError("alpha_h, v_max and sparsity must be positive")
-
-
-@dataclass
-class QueryReport:
-    alpha_h: float
-    beta_h: float
-    v_max: float
-    T: float
-    sparsity: int
-    epsilon: float
-    delta: float
-    schedule_integral: float
-    dyson_factor: float
-    log_eps_sq: float
-    log_delta: float
-    n_query_a: float
-    n_query_ub: float
-    n_query_total: float
-    alpha_beta_t2: float    # the alpha_H beta_H T^2 scale of the T ~ 1/gamma regime
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def kinetic_norm_bound(chart, grid, mass, schedule, representation="momentum"):
-    """alpha_H = max_t (1/a(t)) ||Delta_g|| / (2 m), the max over 64 times in [0, t_end].
+def kinetic_norm_bound(chart, grid, mass, representation="momentum"):
+    """||Delta_g|| / (2 m), the norm of the kinetic operator at a(t) = 1.
 
     ``representation="momentum"`` takes the continuum symbol
     sup_k g^{ij} k_i k_j over the grid's Nyquist box (the norm of the
@@ -75,27 +33,22 @@ def kinetic_norm_bound(chart, grid, mass, schedule, representation="momentum"):
     terms: local stencils cannot track the mixed-derivative symbol at high
     wavenumbers, so the stencil norm undershoots the momentum-basis norm.
     """
-    if mass <= 0:
-        raise ParameterError("mass must be positive")
+    check_mass(mass)
     if representation == "stencil":
         from scipy.sparse.linalg import svds  # deferred: `import qrhd` loads no scipy
 
         D = assemble_laplace_beltrami(chart, grid)
         v0 = np.random.default_rng(0).standard_normal(D.shape[1])
-        base = float(svds(D, k=1, return_singular_vectors=False, v0=v0)[0]) / (2.0 * mass)
-    elif representation == "momentum":
-        kmax = np.pi / grid.spacing
-        corners = kmax * np.array(
-            [[(1 if (m_ >> i) & 1 else -1) for i in range(grid.dim)]
-             for m_ in range(2 ** grid.dim)], dtype=float)
-        nodes = grid.nodes()
-        ginv = chart.inverse_metric_at(nodes[::max(1, nodes.shape[0] // 4096)])
-        base = float(np.einsum('ci,nij,cj->nc', corners, ginv, corners).max()) / (2.0 * mass)
-    else:
+        return float(svds(D, k=1, return_singular_vectors=False, v0=v0)[0]) / (2.0 * mass)
+    if representation != "momentum":
         raise ParameterError(f"unknown representation {representation!r}")
-    ts = np.linspace(0.0, schedule.t_end, 64)
-    inv_a = np.array([1.0 / schedule.a_at(t) for t in ts])
-    return float(base * inv_a.max())
+    kmax = np.pi / grid.spacing
+    corners = kmax * np.array(
+        [[(1 if (m_ >> i) & 1 else -1) for i in range(grid.dim)]
+         for m_ in range(2 ** grid.dim)], dtype=float)
+    nodes = grid.nodes()
+    ginv = chart.inverse_metric_at(nodes[::max(1, nodes.shape[0] // 4096)])
+    return float(np.einsum('ci,nij,cj->nc', corners, ginv, corners).max()) / (2.0 * mass)
 
 
 def measured_sparsity(A):
@@ -103,12 +56,11 @@ def measured_sparsity(A):
     return int(np.diff(A.tocsr().indptr).max())
 
 
-def schedule_integral(schedule, T):
-    """int_0^T a(t) eta dt; closed form for a(t) = exp(2 gamma t), composite
-    Simpson's rule on 20,000 intervals for a given a(t)."""
-    if T <= 0:
-        raise ParameterError("T must be positive")
-    gamma, eta = schedule.gamma, schedule.eta
+def schedule_integral(schedule):
+    """int_0^T a(t) eta dt with T = ``schedule.t_end``; closed form for
+    a(t) = exp(2 gamma t), composite Simpson's rule on 20,000 intervals for
+    a given a(t)."""
+    T, gamma, eta = schedule.t_end, schedule.gamma, schedule.eta
     if schedule.a is None:
         return float(eta * T if gamma == 0 else eta * (schedule.a_at(T) - 1.0) / (2.0 * gamma))
     ts = np.linspace(0.0, T, 20_001)
@@ -125,42 +77,41 @@ def dyson_factor(x):
     return float(lx / np.log(lx))
 
 
-def query_count(inputs):
-    """Relative query counts per the interaction-picture cost model.
+def query_count(kinetic_norm, v_max, schedule, sparsity, epsilon, delta):
+    """Relative query counts per the interaction-picture cost model, as a dict.
 
-    A count or factor that is not finite (an epsilon or a schedule past the
-    float range) raises ``NumericError``, so a report holds numbers only.
+    T is ``schedule.t_end``.  alpha_H = kinetic_norm max_t 1/a(t) and
+    beta_H = eta V_max max_t a(t) take their maxima over the same 129
+    times in [0, T], endpoints included.  A count or factor that is not
+    finite (an epsilon or a schedule past the float range) raises
+    ``NumericError``, so a report holds numbers only.
     """
-    alpha, T, eps, delta = inputs.alpha_h, inputs.T, inputs.epsilon, inputs.delta
+    if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
+        raise ParameterError("epsilon and delta must lie in (0, 1)")
+    if not (kinetic_norm > 0 and v_max > 0 and sparsity > 0):
+        raise ParameterError("kinetic_norm, v_max and sparsity must be positive")
+    T, eta = float(schedule.t_end), schedule.eta
+    a = np.array([schedule.a_at(t) for t in np.linspace(0.0, T, 129)])
+    if not np.all(a > 0):
+        raise ScheduleError("a(t) must be positive on [0, T]")
     with np.errstate(all="ignore"):    # a non-finite result raises below
-        x = alpha * T / eps
+        alpha = float(kinetic_norm * (1.0 / a).max())
+        beta = float((a * eta).max() * v_max)
+        x = alpha * T / epsilon
         dy = dyson_factor(x)
-        le2 = np.log(1.0 / eps) ** 2
+        le2 = np.log(1.0 / epsilon) ** 2
         ld = np.log(1.0 / delta)
-        integral = schedule_integral(inputs.schedule, T)
-        n_a = T * np.sqrt(inputs.sparsity * alpha) * le2 * dy * ld
-        n_ub = alpha * inputs.v_max * integral * T * le2 * dy * ld
-        n_total = n_a + n_ub
-    ts = np.linspace(0.0, T, 129)
-    beta = float(max(inputs.schedule.a_at(t) * inputs.schedule.eta for t in ts) * inputs.v_max)
-    report = QueryReport(
-        alpha_h=float(alpha),
-        beta_h=beta,
-        v_max=float(inputs.v_max),
-        T=float(T),
-        sparsity=int(inputs.sparsity),
-        epsilon=float(eps),
-        delta=float(delta),
-        schedule_integral=float(integral),
-        dyson_factor=float(dy),
-        log_eps_sq=float(le2),
-        log_delta=float(ld),
-        n_query_a=float(n_a),
-        n_query_ub=float(n_ub),
-        n_query_total=float(n_total),
-        alpha_beta_t2=float(alpha * beta * T * T),
+        integral = schedule_integral(schedule)
+        n_a = T * np.sqrt(sparsity * alpha) * le2 * dy * ld
+        n_ub = alpha * v_max * integral * T * le2 * dy * ld
+    report = dict(
+        alpha_h=alpha, beta_h=beta, v_max=float(v_max), T=T, sparsity=int(sparsity),
+        epsilon=float(epsilon), delta=float(delta), schedule_integral=float(integral),
+        dyson_factor=float(dy), log_eps_sq=float(le2), log_delta=float(ld),
+        n_query_a=float(n_a), n_query_ub=float(n_ub), n_query_total=float(n_a + n_ub),
+        alpha_beta_t2=alpha * beta * T * T,   # the scale of the T ~ 1/gamma regime
     )
-    bad = [key for key, v in report.to_dict().items() if not np.isfinite(v)]
+    bad = [key for key, v in report.items() if not np.isfinite(v)]
     if bad:
         raise NumericError(f"query count not finite: {', '.join(bad)}")
     return report

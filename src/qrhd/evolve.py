@@ -191,8 +191,7 @@ class CrankNicolsonStepper:
 
     def __init__(self, chart, grid, potential, schedule, mass,
                  include_weyl_correction=False):
-        if mass <= 0:
-            raise ParameterError("mass must be positive")
+        geometry.check_mass(mass)
         self.chart = chart
         self.grid = grid
         self.schedule = schedule

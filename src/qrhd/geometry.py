@@ -436,6 +436,12 @@ def ricci_scalar(chart, point):
     return chart.ricci_scalar_at(p)
 
 
+def check_mass(mass):
+    """A mass that is not finite and positive (NaN included) is a ``ParameterError``."""
+    if not (0.0 < mass < np.inf):
+        raise ParameterError("mass must be finite and positive")
+
+
 def quantum_corrections(chart, point, mass):
     """Ordering corrections (delta_v, delta_v_prime) to the potential.
 
@@ -454,8 +460,7 @@ def quantum_corrections(chart, point, mass):
     and any other chart contracts its connection as above
     (``MetricChart.quantum_corrections_many``).
     """
-    if mass <= 0:
-        raise ParameterError("mass must be positive")
+    check_mass(mass)
     pts = np.asarray(point, dtype=float)
     if pts.shape[-1:] != (chart.dim,):
         raise ParameterError(f"expected points of dimension {chart.dim}, got shape {pts.shape}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .discretize import Schedule, sphere_quadratic_potential
 from .errors import BlowUpError, DomainError, ParameterError, ScheduleError
-from .geometry import SphereStereographicChart
+from .geometry import SphereStereographicChart, check_mass
 
 
 # -- effective potential -----------------------------------------------------
@@ -351,6 +351,7 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
     """
     if schedule.a is not None:
         raise ParameterError("integrate_eom needs the schedule a(t) = exp(2 gamma t)")
+    check_mass(mass)
     dtype = complex if log_measure else float
     pos = np.asarray(position, dtype=dtype)
     vel = np.asarray(velocity, dtype=dtype)
@@ -589,6 +590,8 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         raise ParameterError(f"need gammas, each finite and positive, got {list(gammas)}")
     if instances < 1:
         raise ParameterError(f"need at least one instance, got {instances}")
+    if not (0.0 < epsilon_star < 1.0):
+        raise ParameterError(f"epsilon_star must lie in (0, 1), got {epsilon_star}")
     seed_seq = np.random.SeedSequence(seed)
     children = seed_seq.spawn(instances)
     draws = [RandomInstance.draw(dim, np.random.default_rng(s)) for s in children]

@@ -13,7 +13,6 @@ import pytest
 import scipy.linalg
 
 from qrhd import (
-    ComplexityInputs,
     ConstantChart,
     CustomChart,
     FlatChart,
@@ -126,13 +125,12 @@ def instance_study():
 
 @pytest.fixture(scope="session")
 def alpha_measurements():
-    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.1)
     flat, metric = FlatChart(2), ConstantChart(A1)
     gf, gm = Grid.for_chart(flat, 128), Grid.for_chart(metric, 128)
-    a_flat = kinetic_norm_bound(flat, gf, 0.1, sched, representation="momentum")
-    a_metric = kinetic_norm_bound(metric, gm, 0.1, sched, representation="momentum")
-    a_flat_st = kinetic_norm_bound(flat, gf, 0.1, sched, representation="stencil")
-    a_metric_st = kinetic_norm_bound(metric, gm, 0.1, sched, representation="stencil")
+    a_flat = kinetic_norm_bound(flat, gf, 0.1, representation="momentum")
+    a_metric = kinetic_norm_bound(metric, gm, 0.1, representation="momentum")
+    a_flat_st = kinetic_norm_bound(flat, gf, 0.1, representation="stencil")
+    a_metric_st = kinetic_norm_bound(metric, gm, 0.1, representation="stencil")
     sparsity = measured_sparsity(assemble_laplace_beltrami(metric, gm))
     return dict(momentum=(a_flat, a_metric), stencil=(a_flat_st, a_metric_st),
                 sparsity=sparsity)
@@ -300,10 +298,7 @@ def test_criterion_9_query_ratio_cancellation(speedup_study, alpha_measurements)
     for name, alpha, T in (("qhd", a_flat, t_qhd), ("qrhd", a_metric, t_qrhd)):
         gamma = factor / T   # the T ~ 1/gamma regime of the cost model
         sched = Schedule(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
-        inputs = ComplexityInputs(alpha_h=alpha, v_max=0.19, schedule=sched,
-                                  T=float(T), sparsity=sparsity, epsilon=1e-3,
-                                  delta=0.05)
-        totals[name] = query_count(inputs).n_query_total
+        totals[name] = query_count(alpha, 0.19, sched, sparsity, 1e-3, 0.05)["n_query_total"]
     ratio = totals["qrhd"] / totals["qhd"]
     # context: the same arithmetic with bound-derived convergence times
     # (each algorithm at its optimal friction) exhibits the cancellation
@@ -313,10 +308,7 @@ def test_criterion_9_query_ratio_cancellation(speedup_study, alpha_measurements)
     for name, alpha, T in (("qhd", a_flat, tb_q), ("qrhd", a_metric, tb_r)):
         gamma = factor / T
         sched = Schedule(gamma=gamma, eta=0.1, t_end=T, dt=T / 10)
-        inputs = ComplexityInputs(alpha_h=alpha, v_max=0.19, schedule=sched,
-                                  T=float(T), sparsity=sparsity, epsilon=1e-3,
-                                  delta=0.05)
-        bound_totals[name] = query_count(inputs).n_query_total
+        bound_totals[name] = query_count(alpha, 0.19, sched, sparsity, 1e-3, 0.05)["n_query_total"]
     bound_ratio = bound_totals["qrhd"] / bound_totals["qhd"]
     ok = 0.5 <= ratio <= 2.0
     assert report(

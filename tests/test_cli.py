@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qrhd.cli
 import qrhd.errors
-from qrhd import EvolutionTrace, ParameterError
+from qrhd import EvolutionTrace, ParameterError, Schedule, query_count
 from qrhd.cli import BUILTIN_CONFIGS, _write_csv, build_schedule, load_config, main
 
 SMALL_EVOLVE = {
@@ -45,7 +45,7 @@ SMALL_COMPLEXITY = {
         {"name": "qrhd_metric", "kind": "constant",
          "matrix": [[1.0, -0.9], [-0.9, 1.0]]},
     ],
-    "schedule": {"eta": 0.1, "t_end": 24.0},
+    "schedule": {"eta": 0.1},
     "epsilon": 0.001,
     "delta": 0.05,
     "t_star": {"source": "bound", "epsilon_star": 0.05,
@@ -320,6 +320,10 @@ def test_complexity_command(tmp_path, t_star, ratio_range):
     # the bound t* is 0 at epsilon_star 1; the error names t*, not a dt
     pytest.param({"t_star": dict(SMALL_COMPLEXITY["t_star"], epsilon_star=1.0)},
                  2, "ParameterError", r"t\* .*epsilon_star", id="bound_epsilon_star=1"),
+    # gamma and T come from t*: any schedule key but eta would be ignored
+    pytest.param({"schedule": {"eta": 0.1, "a_expr": "exp(t)", "gamma": 7}},
+                 2, "ParameterError", r"only 'eta', got \['a_expr', 'gamma'\]",
+                 id="schedule_a_expr"),
 ])
 def test_complexity_rejects_with_one_typed_error(tmp_path, capsys, change, code, kind, message):
     out = tmp_path / "never"
@@ -327,6 +331,16 @@ def test_complexity_rejects_with_one_typed_error(tmp_path, capsys, change, code,
     assert main(["complexity", "--config", cfg, "--out", str(out)]) == code
     assert re.search(message, assert_one_json_error(capsys, kind)["message"])
     assert not out.exists()
+
+
+def test_report_json_holds_the_query_count_keys_and_three_more(tmp_path):
+    out = tmp_path / "cx"
+    assert main(["complexity", "--config", write_config(tmp_path, SMALL_COMPLEXITY),
+                 "--out", str(out)]) == 0
+    per_chart = json.loads((out / "report.json").read_text())["reports"]["qhd_flat"]
+    keys = set(query_count(1.0e4, 0.2, Schedule(0.3, 1.0, 5.0, 0.1), 5, 1e-3, 0.05))
+    assert len(keys) == 15
+    assert set(per_chart) == keys | {"t_star_source", "gamma_used", "alpha_representation"}
 
 
 FUZZ_VALUES = [None, "x", "", -1, 0, 0.5, 3, [], [1], {}, {"a": 1}, float("nan"), True]

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from qrhd import (
     ConstantChart,
+    CrankNicolsonStepper,
     CustomChart,
     DomainError,
     FlatChart,
+    Grid,
     ParameterError,
     PoleSingularityError,
+    Schedule,
     SingularMetricError,
     SphereStereographicChart,
     christoffel,
+    integrate_eom,
+    kinetic_norm_bound,
     manifold_hessian,
     quadratic_potential,
     quantum_corrections,
@@ -176,6 +181,29 @@ def test_quantum_corrections_requires_positive_mass(south3):
         quantum_corrections(south3, np.zeros(2), 0.0)
     with pytest.raises(ParameterError):
         quantum_corrections(south3, np.zeros((3, 2)), -1.0)
+
+
+def _stepper(chart, mass):
+    grid = Grid.for_chart(chart, 9)
+    return CrankNicolsonStepper(chart, grid, quadratic_potential(np.eye(2), 1.0),
+                                Schedule(0.25, 1.0, 0.1, 0.05), mass)
+
+
+def _integrate(chart, mass):
+    return integrate_eom(chart, quadratic_potential(np.eye(2), 1.0), Schedule(0.25),
+                         np.array([0.3, -0.2]), np.zeros(2), np.array([0.0, 0.1]), mass=mass)
+
+
+@pytest.mark.parametrize("entry", [
+    _stepper,
+    _integrate,
+    lambda chart, mass: quantum_corrections(chart, np.zeros(2), mass),
+    lambda chart, mass: kinetic_norm_bound(chart, Grid.for_chart(chart, 9), mass),
+], ids=["CrankNicolsonStepper", "integrate_eom", "quantum_corrections", "kinetic_norm_bound"])
+@pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -1.0])
+def test_every_entry_point_rejects_a_mass_that_is_not_finite_and_positive(south3, entry, mass):
+    with pytest.raises(ParameterError, match="mass must be finite and positive"):
+        entry(south3, mass)
 
 
 @pytest.mark.parametrize("chart", [

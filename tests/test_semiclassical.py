@@ -489,6 +489,16 @@ def test_non_finite_state_raises_blow_up():
                       np.array([0.0, 10.0]))
 
 
+def test_study_checks_epsilon_star_before_it_integrates(monkeypatch):
+    calls = []
+    integrate = sc.integrate_eom
+    monkeypatch.setattr(sc, "integrate_eom",
+                        lambda *args, **kw: calls.append(1) or integrate(*args, **kw))
+    with pytest.raises(ParameterError, match="epsilon_star"):
+        run_instance_study(3, [1.0, 5.0], 2, seed=1, epsilon_star=1.0)
+    assert calls == []
+
+
 def test_study_smoke_and_determinism():
     rep1 = run_instance_study(5, [1.0, 5.0], 3, seed=11)
     rep2 = run_instance_study(5, [1.0, 5.0], 3, seed=11)
