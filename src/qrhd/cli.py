@@ -227,8 +227,8 @@ def _compile_schedule_expr(expr):
 
 
 def build_schedule(spec):
-    if "gamma" not in spec and "a_expr" not in spec:
-        raise ParameterError("schedule needs either 'gamma' or 'a_expr'")
+    if ("gamma" in spec) == ("a_expr" in spec):
+        raise ParameterError("schedule needs exactly one of 'gamma' and 'a_expr'")
     a_fn = None
     if "gamma" not in spec:
         code = _compile_schedule_expr(spec["a_expr"])
@@ -561,7 +561,7 @@ def _geometry_checks(chart):
     pot = quadratic_potential(A, 1.0)
     worst = 0.0
     for p in pts[:10]:
-        H = manifold_hessian(chart, pot.value_at, p, gradient=pot.gradient_at)
+        H = manifold_hessian(chart, pot.gradient_at, p)
         worst = max(worst, float(np.abs(H - H.T).max()))
     checks.append(("manifold_hessian_symmetry", worst, 1e-10))
     return checks

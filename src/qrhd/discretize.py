@@ -220,7 +220,7 @@ def node_sqrt_g(chart, nodes):
     return sqrt_g
 
 
-def assemble_laplace_beltrami(chart, grid, return_weights=False):
+def assemble_laplace_beltrami(chart, grid):
     """Divergence-form Laplace-Beltrami operator on the grid.
 
     Every coupling between a node pair carries the flux coefficient
@@ -232,8 +232,7 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
     Returns the real CSR matrix D, canonical with sorted indices.  It stores
     no zero coupling, but every row stores its diagonal (0 on boundary rows),
     so H(t) = ck (-D) + diag(...) has D's sparsity pattern.  With
-    W = diag(sqrt(g) * prod h) the product W D is symmetric.  With
-    ``return_weights`` the sqrt(g) node array is returned as well.
+    W = diag(sqrt(g) * prod h) the product W D is symmetric.
     """
     import scipy.sparse as sp  # deferred: `import qrhd` loads no scipy
 
@@ -300,7 +299,5 @@ def assemble_laplace_beltrami(chart, grid, return_weights=False):
         shape=(grid.size, grid.size),
     ).tocsr()
     D.data *= np.repeat(1.0 / sqrt_g, np.diff(D.indptr))
-    if return_weights:
-        return D, sqrt_g
     return D
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import geometry
 from .discretize import assemble_laplace_beltrami, node_sqrt_g
 from .errors import ParameterError, ScheduleError, SolverError
-from .semiclassical import crossing_time
 
 SOLVER_TARGET_RTOL = 1e-12     # aimed-for residual; must land under 1e-10
 SOLVER_REQUIRED_RTOL = 1e-10
@@ -196,9 +195,7 @@ class CrankNicolsonStepper:
         self.grid = grid
         self.schedule = schedule
         self.mass = mass
-        D, sqrt_g = assemble_laplace_beltrami(chart, grid, return_weights=True)
-        self.kinetic = -D  # -Delta_g, scaled by ck/(…) later
-        self.sqrt_g = sqrt_g
+        self.kinetic = -assemble_laplace_beltrami(chart, grid)  # -Delta_g, scaled by ck later
         self.v_nodes = potential.node_values(grid)
         # the ordering correction delta_v at the interior nodes, zero on the
         # clamped boundary
@@ -277,10 +274,6 @@ class EvolutionTrace:
     def norm_drift(self):
         return float(np.max(np.abs(self.norms - 1.0)))
 
-    def first_crossing(self, threshold):
-        """First sampled time with |<x>| <= threshold (linear interpolation)."""
-        return crossing_time(self.times, np.linalg.norm(self.positions, axis=1), threshold)
-
 
 def evolve(chart, grid, potential, schedule, initial, sample_times=None,
            frame_times=(), include_weyl_correction=False, mass=1.0):
@@ -309,7 +302,7 @@ def evolve(chart, grid, potential, schedule, initial, sample_times=None,
         include_weyl_correction=include_weyl_correction,
     )
     nodes = grid.nodes()
-    w = stepper.sqrt_g * grid.cell_volume
+    w = node_sqrt_g(chart, nodes) * grid.cell_volume
     times, positions, norms, frames = [], [], [], []
     n_recorded = [0, 0]    # sample and frame times recorded so far
     t, step_dt = 0.0, dt

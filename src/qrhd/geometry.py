@@ -472,20 +472,16 @@ def quantum_corrections(chart, point, mass):
     return delta_v, delta_v_prime
 
 
-def manifold_hessian(chart, potential, point, gradient=None):
+def manifold_hessian(chart, gradient, point):
     """Covariant Hessian (Hess_g V)_ij = d_i d_j V - Gamma^k_ij d_k V.
 
-    ``potential`` is a scalar callback V(point).  The flat Hessian comes
-    from central differences of the analytic ``gradient`` when given, else
-    from nested central differences of the value.
+    ``gradient`` is the callback dV(point), such as
+    ``PotentialField.gradient_at``; the flat Hessian is its central
+    difference.
     """
     p = chart.require_inside(point)
-    if gradient is not None:
-        grad = np.asarray(gradient(p), dtype=float)
-        rows = chart._fd(lambda q: np.asarray(gradient(q), dtype=float), p)
-    else:
-        grad = chart._fd(potential, p)
-        rows = chart._fd(lambda q: chart._fd(potential, q), p)
+    grad = np.asarray(gradient(p), dtype=float)
+    rows = chart._fd(lambda q: np.asarray(gradient(q), dtype=float), p)
     hess = 0.5 * (rows + rows.T)
     gam = chart.christoffel_at(p)
     return hess - np.einsum('kij,k->ij', gam, grad)

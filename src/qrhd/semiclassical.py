@@ -389,52 +389,38 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
                       exit_sample.reshape(lead), solver.stats)
 
 
-def crossing_time(times, values, level, mode="first"):
-    """Time at which the sampled ``values`` fall to ``level`` or below.
+def detect_t_star(times, ratios, epsilon_star, mode="first"):
+    """Time at which the sampled distance ``ratios`` fall to ``epsilon_star``.
 
-    ``mode="first"`` takes the first sample at or below ``level``;
-    ``mode="sustained"`` the first one after which no sample rises above it
-    again within the observed window.  The time is interpolated linearly
-    between that sample and the one before it, and is ``times[0]`` for a
-    crossing at sample 0.  ``None`` when the values never (or, for
-    sustained, do not finally) reach the level.
+    ``ratios`` is |x(t) - x*| / |x(0) - x*| at ``times``.  ``mode="first"``
+    takes the first sample at or below ``epsilon_star``; ``mode="sustained"``
+    the first one after which no sample rises above it again within the
+    observed window.  Oscillatory trajectories can dip through the ball
+    long before they settle into it, so the sustained variant is the one
+    comparable with envelope-based bounds.  The time is interpolated
+    linearly between that sample and the one before it, and is ``times[0]``
+    for a crossing at sample 0.  ``None`` when the ratios never (or, for
+    sustained, do not finally) reach ``epsilon_star``.
     """
-    below = values <= level
+    if not (0.0 < epsilon_star < 1.0):
+        raise ParameterError("epsilon_star must lie in (0, 1)")
+    if mode not in ("first", "sustained"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    below = np.asarray(ratios) <= epsilon_star
     if not below.any():
         return None
     if mode == "first":
         k = int(np.argmax(below))
-    elif mode == "sustained":
-        if not below[-1]:
-            return None
+    elif not below[-1]:
+        return None
+    else:
         above = np.where(~below)[0]
         k = int(above[-1] + 1) if above.size else 0
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
     if k == 0:
         return float(times[0])
-    r0, r1 = values[k - 1], values[k]
-    frac = (r0 - level) / (r0 - r1) if r0 != r1 else 1.0
+    r0, r1 = ratios[k - 1], ratios[k]
+    frac = (r0 - epsilon_star) / (r0 - r1) if r0 != r1 else 1.0
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))
-
-
-def detect_t_star(times, positions, target, epsilon_star, mode="first"):
-    """Time at which |Re pos - target| / |pos(0) - target| <= epsilon_star.
-
-    ``mode`` is that of ``crossing_time``: the first crossing, or the
-    ``"sustained"`` one after which the ratio stays in the ball.
-    Oscillatory trajectories can dip through the ball long before they
-    settle into it, so the sustained variant is the one comparable with
-    envelope-based bounds.  A trajectory that starts at the target
-    converges at ``times[0]``.
-    """
-    if not (0.0 < epsilon_star < 1.0):
-        raise ParameterError("epsilon_star must lie in (0, 1)")
-    times = np.asarray(times, dtype=float)
-    dev = np.linalg.norm(np.asarray(positions).real - np.asarray(target, dtype=float), axis=-1)
-    if dev[0] == 0:
-        return float(times[0])
-    return crossing_time(times, dev / dev[0], epsilon_star, mode)
 
 
 # -- Lambert W lower branch ----------------------------------------------------
@@ -623,8 +609,7 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
                                      times[: exit_sample[i] + 1],
                                      ratios[: exit_sample[i] + 1]))
                 continue
-            t_star = detect_t_star(times, positions[i], vstar[i], epsilon_star,
-                                   mode="sustained")
+            t_star = detect_t_star(times, ratios, epsilon_star, mode="sustained")
             satisfied = (None if t_star is None
                          else bool(t_star >= bound * (1.0 - STUDY_SLACK)))
             runs.append(StudyRun(i, float(gamma), t_star, bound, satisfied,
@@ -642,15 +627,15 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     )
 
 
-def make_sphere_study_problem(instance):
+def make_sphere_study_problem(matrix):
     """Chart and potential of the study: the south chart on the study box.
 
-    The sphere has radius 1 and the quadratic potential mass 1.
-    ``instance`` is a ``RandomInstance`` or its matrix; a stack of matrices
-    of shape (n, N, N) poses n instances at once, one per row of the
-    ``(n, N - 1)`` points the potential is then evaluated at.
+    The sphere has radius 1 and the quadratic potential mass 1.  ``matrix``
+    is one A of shape (N, N) or a stack of shape (n, N, N) that poses n
+    instances at once, one per row of the ``(n, N - 1)`` points the
+    potential is then evaluated at.
     """
-    A = np.asarray(getattr(instance, "matrix", instance), dtype=float)
+    A = np.asarray(matrix, dtype=float)
     dim = A.shape[-1] - 1
     box = STUDY_DOMAIN_HALFWIDTH * np.ones(dim)
     chart = SphereStereographicChart(A.shape[-1], 1.0, pole="south", domain=(-box, box))

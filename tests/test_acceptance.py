@@ -21,6 +21,7 @@ from qrhd import (
     SphereStereographicChart,
     assemble_laplace_beltrami,
     convergence_bound,
+    detect_t_star,
     evolve,
     init_state,
     integrate_eom,
@@ -110,7 +111,8 @@ def speedup_study():
                 dict(gamma=0.25, eta=0.1, t_end=24.0, dt=cfg["schedule"]["dt"]),
                 cfg["initial"]["smooth_length"])
             r0 = float(np.linalg.norm(trace.positions[0]))
-            row[name] = trace.first_crossing(0.05 * r0)
+            ratios = np.linalg.norm(trace.positions, axis=1) / r0
+            row[name] = detect_t_star(trace.times, ratios, 0.05)
         results[seed] = row
     return results
 

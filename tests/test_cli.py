@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qrhd.cli
 import qrhd.errors
-from qrhd import EvolutionTrace, ParameterError, Schedule, query_count
+from qrhd import EvolutionTrace, ParameterError, Schedule, detect_t_star, query_count
 from qrhd.cli import BUILTIN_CONFIGS, _write_csv, build_schedule, load_config, main
 
 SMALL_EVOLVE = {
@@ -197,6 +197,9 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
                    id=f"smooth_length={v}") for v in (-0.3, float("inf"), float("nan"))),
     pytest.param({"initial": {"kind": "gaussian", "width": float("nan")}}, id="width=nan"),
     pytest.param({"initial": dict(SMALL_EVOLVE["initial"], seed=None)}, id="seed=null"),
+    # a(t) is either e^{2 gamma t} or the expression, never both
+    pytest.param({"schedule": dict(SMALL_EVOLVE["schedule"], a_expr="t**2+1/0")},
+                 id="gamma_and_a_expr"),
 ])
 def test_evolve_rejects_a_non_positive_sample_interval(tmp_path, capsys, change):
     cfg = write_config(tmp_path, {**SMALL_EVOLVE, **change})
@@ -246,6 +249,14 @@ def test_semiclassical_flags_and_determinism(tmp_path):
     assert len(lines) == 5
     curves = sorted(p.name for p in (out1 / "curves").iterdir())
     assert curves == ["0_1.csv", "0_5.csv", "1_1.csv", "1_5.csv"]
+    # each t_star is the sustained crossing of the curve written beside it
+    for line in lines[1:]:
+        instance, gamma, t_star, _, satisfied = line.split(",")
+        assert satisfied != "excluded"
+        curve = np.loadtxt(out1 / "curves" / f"{instance}_{gamma}.csv", delimiter=",",
+                           skiprows=1)
+        assert float(t_star) == detect_t_star(curve[:, 0], curve[:, 1], 0.01,
+                                              mode="sustained")
     assert (out1 / "curves" / "0_1.csv").read_bytes() == \
         (out2 / "curves" / "0_1.csv").read_bytes()
     assert (out1 / "study.json").read_bytes() == (out2 / "study.json").read_bytes()

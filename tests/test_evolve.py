@@ -16,6 +16,7 @@ from qrhd import (
     SolverError,
     SphereStereographicChart,
     assemble_laplace_beltrami,
+    detect_t_star,
     evolve,
     init_state,
     quadratic_potential,
@@ -311,9 +312,10 @@ def test_first_crossing_interpolates():
     times = np.array([0.0, 1.0, 2.0])
     pos = np.array([[1.0, 0.0], [0.5, 0.0], [0.1, 0.0]])
     tr = EvolutionTrace(times, pos, np.ones(3))
-    t = tr.first_crossing(0.3)
+    ratios = np.linalg.norm(tr.positions, axis=1) / np.linalg.norm(tr.positions[0])
+    t = detect_t_star(tr.times, ratios, 0.3)
     assert 1.0 < t < 2.0
-    assert tr.first_crossing(0.01) is None
+    assert detect_t_star(tr.times, ratios, 0.01) is None
 
 
 def test_solver_error_is_exported_as_numeric_error():

@@ -134,24 +134,23 @@ def test_convergence_bound_validation():
 
 def test_detect_t_star_basic_cases():
     times = np.linspace(0.0, 10.0, 101)
-    target = np.zeros(1)
     never = 1.0 + 0.5 * np.sin(times)
-    assert detect_t_star(times, never[:, None], target, 0.01) is None
-    # starting at the target: deviation ratio is degenerate, time is zero
-    at_target = np.full((101, 1), 1.0)
-    assert detect_t_star(times, at_target, np.array([1.0]), 0.01) == 0.0
-    assert detect_t_star(times + 2.5, at_target, np.array([1.0]), 0.01) == 2.5
+    assert detect_t_star(times, never, 0.01) is None
+    # already at or below epsilon_star at sample 0: the time is times[0]
+    at_target = np.full(101, 0.01)
+    assert detect_t_star(times, at_target, 0.01) == 0.0
+    assert detect_t_star(times + 2.5, at_target, 0.01) == 2.5
     # crossing within the first sample interval interpolates inside it
     dropping = np.concatenate([[1.0], np.full(100, 1e-4)])
-    t = detect_t_star(times, dropping[:, None] + 2.0, np.array([2.0]), 0.01)
+    t = detect_t_star(times, dropping, 0.01)
     assert 0.0 < t <= times[1]
 
 
 def test_detect_t_star_critically_damped_envelope():
     omega = 1.7
     times = np.linspace(0.0, 12.0, 4001)
-    traj = ((1 + omega * times) * np.exp(-omega * times))[:, None]
-    t_star = detect_t_star(times, traj + 5.0, np.array([5.0]), 0.01)
+    ratio = (1 + omega * times) * np.exp(-omega * times)
+    t_star = detect_t_star(times, ratio, 0.01)
     assert t_star * omega == pytest.approx(envelope_root_oracle(0.01), abs=2e-3)
 
 
@@ -159,16 +158,19 @@ def test_detect_t_star_sustained_vs_first():
     times = np.linspace(0.0, 10.0, 1001)
     # dips below the threshold at t ~ 2, settles for good after t ~ 6
     ratio = np.abs(np.cos(1.5 * times)) * np.exp(-0.5 * times) + 1e-4
-    pos = ratio[:, None] + 2.0
-    target = np.array([2.0])
-    first = detect_t_star(times, pos, target, 0.01)
-    sustained = detect_t_star(times, pos, target, 0.01, mode="sustained")
+    first = detect_t_star(times, ratio, 0.01)
+    sustained = detect_t_star(times, ratio, 0.01, mode="sustained")
     assert first < sustained
 
 
 def test_detect_t_star_validation():
     with pytest.raises(ParameterError):
-        detect_t_star([0.0], np.zeros((1, 2)), np.zeros(2), 1.5)
+        detect_t_star([0.0], np.ones(1), 1.5)
+    # an unknown mode raises whether or not the curve reaches epsilon_star
+    times = np.arange(3.0)
+    for ratios in (np.ones(3), np.array([1.0, 0.5, 0.001])):
+        with pytest.raises(ParameterError, match="unknown mode"):
+            detect_t_star(times, ratios, 0.01, mode="bogus")
 
 
 # -- trajectory integration -------------------------------------------------------
@@ -232,8 +234,8 @@ def test_gamma_eta_scaling_symmetry():
         sched = Schedule(gamma=gamma, eta=eta, t_end=t_end, dt=1.0)
         traj = integrate_eom(chart, pot, sched, x0, np.zeros(2),
                              np.linspace(0.0, t_end, int(round(t_end / 0.01)) + 1), mass=m)
-        results.append(detect_t_star(traj.times, traj.positions, np.zeros(2), 0.01,
-                                     mode="sustained"))
+        ratios = np.linalg.norm(traj.positions.real, axis=1) / np.linalg.norm(x0)
+        results.append(detect_t_star(traj.times, ratios, 0.01, mode="sustained"))
     assert results[1] == pytest.approx(results[0] / c, rel=1e-2)
 
 
