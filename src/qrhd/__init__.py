@@ -26,10 +26,8 @@ from .geometry import (
     FlatChart,
     MetricChart,
     SphereStereographicChart,
-    christoffel,
     manifold_hessian,
     quantum_corrections,
-    ricci_scalar,
 )
 from .discretize import (
     Grid,

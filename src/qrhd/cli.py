@@ -41,7 +41,8 @@ from .geometry import (
     manifold_hessian,
     quantum_corrections,
 )
-from .semiclassical import convergence_bound, lambert_w_minus1, run_instance_study
+from .semiclassical import (STUDY_EPSILON, STUDY_LAMBDA_EFF, convergence_bound,
+                            lambert_w_minus1, run_instance_study)
 
 OUT_DIR_ENV = "QRHD_OUT_DIR"
 FLOAT_FMT = "%.17g"
@@ -398,8 +399,8 @@ def cmd_semiclassical(args):
             flags["gammas"] = [float(g) for g in args.gammas.split(",")]
     cfg, name = load_config(args.config, "semiclassical", ("dim", "gammas", "instances", "seed"),
                             {key: v for key, v in flags.items() if v is not None})
-    cfg = {"epsilon_star": 0.01, "lambda_eff": 3.0, "corrections": False, "log_measure": False,
-           **cfg}
+    cfg = {"epsilon_star": STUDY_EPSILON, "lambda_eff": STUDY_LAMBDA_EFF, "corrections": False,
+           "log_measure": False, **cfg}
     _check_types(cfg, counts=["dim", "instances", "seed"], flags=["corrections", "log_measure"])
     with _reading("gammas, epsilon_star and lambda_eff"):
         gammas = [float(g) for g in cfg["gammas"]]

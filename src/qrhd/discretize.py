@@ -101,9 +101,6 @@ class PotentialField:
     fn: object
     gradient_fn: object = None
 
-    def value_at(self, point):
-        return float(np.real(self.fn(np.asarray(point))))
-
     def gradient_at(self, point):
         p = np.asarray(point)
         if self.gradient_fn is not None:

@@ -53,7 +53,7 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
       - ``random``: independent uniform magnitudes in [0, 1) and uniform
         phases per node, from a seeded generator.
       - ``random-smooth``: the ``random`` field convolved with a Gaussian
-        kernel of physical length ``smooth_length`` (default 1/16 of the
+        kernel of physical length ``smooth_length`` (required, at most the
         shortest box edge), reflected at the box ends and truncated at
         4 sigma, then renormalized.  This is the package's
         "random distribution" for the bundled experiments: it keeps the
@@ -80,8 +80,11 @@ def init_state(grid, chart, kind="uniform", seed=None, center=None, width=None,
         phase = rng.uniform(0.0, 2.0 * np.pi, grid.size)
         values = mag * np.exp(1j * phase)
         if kind == "random-smooth":
-            if smooth_length is None:
-                smooth_length = np.min(grid.hi - grid.lo) / 16.0
+            # the filter's radius grows as smooth_length / h, so the box bounds its cost
+            edge = float(np.min(grid.hi - grid.lo))
+            if smooth_length is None or smooth_length > edge:
+                raise ParameterError(f"random-smooth init requires smooth_length in (0, {edge}], "
+                                     f"the box's shortest edge; got {smooth_length}")
             sigmas = smooth_length / grid.spacing
             f = values.reshape(grid.shape)
             values = (_gaussian_filter(f.real, sigmas)
@@ -170,11 +173,12 @@ def _factor(A):
     """Preconditioner for the CN matrix A: incomplete LU, exact LU if ILU fails.
 
     The minimum-degree ordering keeps the triangular factors lean; the mild
-    drop tolerance halves the solve cost at no iteration penalty.
+    drop tolerance halves the solve cost at no iteration penalty, and the
+    fill cap leaves the flat chart's factor untruncated up to 256^2 nodes.
     """
     Acsc = A.tocsc()
     try:
-        return spla.spilu(Acsc, drop_tol=1e-4, fill_factor=8, permc_spec="MMD_AT_PLUS_A")
+        return spla.spilu(Acsc, drop_tol=1e-4, fill_factor=12, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return spla.splu(Acsc, permc_spec="MMD_AT_PLUS_A")
 
@@ -191,8 +195,6 @@ class CrankNicolsonStepper:
     def __init__(self, chart, grid, potential, schedule, mass,
                  include_weyl_correction=False):
         geometry.check_mass(mass)
-        self.chart = chart
-        self.grid = grid
         self.schedule = schedule
         self.mass = mass
         self.kinetic = -assemble_laplace_beltrami(chart, grid)  # -Delta_g, scaled by ck later
@@ -230,6 +232,11 @@ class CrankNicolsonStepper:
             diag = diag + (ck * 2.0 * self.mass) * self.weyl_nodes
         return ck, diag
 
+    def _refactor(self, t_mid):
+        """Factor the current A at t_mid; the stale factor goes first, so one is alive."""
+        self._fac = None
+        self._fac, self._fac_time = _factor(self._A), t_mid
+
     @np.errstate(all="ignore")   # an H(t) past the float range surfaces as a non-finite residual
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""
@@ -240,14 +247,11 @@ class CrankNicolsonStepper:
         np.multiply(self.kinetic.data, theta * ck, out=A.data)
         A.data[self._diag_pos] += 1.0 + theta * diag
         b = values - theta * (ck * (self.kinetic @ values) + diag * values)
-        # each refresh drops the stale factor first, so one factor is alive at a time
         if self._fac is None or (t_mid - self._fac_time) > PRECOND_REFRESH_WINDOW:
-            self._fac = None
-            self._fac, self._fac_time = _factor(A), t_mid
+            self._refactor(t_mid)
         x, it, res = _bicgstab(A, b, values, self._fac.solve, SOLVER_TARGET_RTOL)
         if not res <= SOLVER_REQUIRED_RTOL:     # a NaN residual fails as well
-            self._fac = None
-            self._fac, self._fac_time = _factor(A), t_mid
+            self._refactor(t_mid)
             start = x if np.isfinite(res) else values
             x, it2, res = _bicgstab(A, b, start, self._fac.solve, SOLVER_TARGET_RTOL)
             it += it2

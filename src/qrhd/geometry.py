@@ -48,13 +48,6 @@ def central_difference(fn, point, step):
     return np.stack(parts, axis=p.ndim - 1)
 
 
-def _as_point(point, dim):
-    p = np.asarray(point, dtype=float)
-    if p.shape != (dim,):
-        raise ParameterError(f"expected a point of dimension {dim}, got shape {p.shape}")
-    return p
-
-
 def _cholesky(g, point):
     try:
         return np.linalg.cholesky(g)
@@ -68,10 +61,10 @@ class MetricChart:
     Subclasses must implement ``metric_at`` over ``(..., dim)`` stacks.  Every
     derived quantity has a default here, written once over stacks: the
     inverse and volume factor from the metric, and the connection, curvature
-    and corrections from fourth-order central differences (``_fd``), so a
-    chart defined by a bare metric callback still provides them.  Each
-    difference evaluates the metric four times per point and axis, twice as
-    often as a second-order one would.  The
+    and corrections from fourth-order central differences
+    (``central_difference``), so a chart defined by a bare metric callback
+    still provides them.  Each difference evaluates the metric four times per
+    point and axis, twice as often as a second-order one would.  The
     gradients of the corrections and of log sqrt(g) that the semiclassical
     equation continues to complex points exist only on charts with closed
     forms.
@@ -99,12 +92,6 @@ class MetricChart:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p > self.lo) and np.all(p < self.hi))
 
-    def require_inside(self, point):
-        p = _as_point(point, self.dim)
-        if not self.contains(p):
-            raise DomainError(f"point {p} outside chart domain [{self.lo}, {self.hi}]")
-        return p
-
     # -- metric and derived fields ---------------------------------------
 
     def metric_at(self, point):
@@ -124,13 +111,10 @@ class MetricChart:
         """sqrt(g) g^{ij}, the flux coefficient of the operator assembly."""
         return self.sqrt_det_many(points)[..., None, None] * self.inverse_metric_at(points)
 
-    def _fd(self, fn, point):
-        return central_difference(fn, point, self.fd_step)
-
     def christoffel_at(self, point):
         """Levi-Civita connection Gamma^i_{jk} (symmetric in jk)."""
         ginv = self.inverse_metric_at(point)
-        dg = self._fd(self.metric_at, point)      # dg[..., k, i, j] = d_k g_ij
+        dg = central_difference(self.metric_at, point, self.fd_step)  # d_k g_ij at [..., k, i, j]
         # Gamma^i_jk = 1/2 g^{il} (d_j g_lk + d_k g_jl - d_l g_jk)
         term = np.einsum('...jlk->...ljk', dg) + np.einsum('...klj->...ljk', dg) - dg
         return 0.5 * np.einsum('...il,...ljk->...ijk', ginv, term)
@@ -140,7 +124,7 @@ class MetricChart:
         = d_m Gamma^i_jk, from one difference of the connection."""
         ginv = self.inverse_metric_at(point)
         gam = self.christoffel_at(point)
-        dgam = self._fd(self.christoffel_at, point)
+        dgam = central_difference(self.christoffel_at, point, self.fd_step)
         # R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_km Gamma^m_ij
         #        - Gamma^k_im Gamma^m_kj
         ricci = (
@@ -424,18 +408,6 @@ class CustomChart(MetricChart):
 
 # -- operations over charts ------------------------------------------------
 
-def christoffel(chart, point):
-    """Gamma^i_{jk} at a point strictly inside the chart domain."""
-    p = chart.require_inside(point)
-    return chart.christoffel_at(p)
-
-
-def ricci_scalar(chart, point):
-    """Scalar curvature at a point strictly inside the chart domain."""
-    p = chart.require_inside(point)
-    return chart.ricci_scalar_at(p)
-
-
 def check_mass(mass):
     """A mass that is not finite and positive (NaN included) is a ``ParameterError``."""
     if not (0.0 < mass < np.inf):
@@ -477,11 +449,15 @@ def manifold_hessian(chart, gradient, point):
 
     ``gradient`` is the callback dV(point), such as
     ``PotentialField.gradient_at``; the flat Hessian is its central
-    difference.
+    difference.  ``point`` is one point strictly inside the chart domain.
     """
-    p = chart.require_inside(point)
+    p = np.asarray(point, dtype=float)
+    if p.shape != (chart.dim,):
+        raise ParameterError(f"expected a point of dimension {chart.dim}, got shape {p.shape}")
+    if not chart.contains(p):
+        raise DomainError(f"point {p} outside chart domain [{chart.lo}, {chart.hi}]")
     grad = np.asarray(gradient(p), dtype=float)
-    rows = chart._fd(lambda q: np.asarray(gradient(q), dtype=float), p)
+    rows = central_difference(lambda q: np.asarray(gradient(q), dtype=float), p, chart.fd_step)
     hess = 0.5 * (rows + rows.T)
     gam = chart.christoffel_at(p)
     return hess - np.einsum('kij,k->ij', gam, grad)

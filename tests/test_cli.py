@@ -194,7 +194,7 @@ def test_semiclassical_rejects_gammas_that_are_not_finite_and_positive(tmp_path,
                            ("empty", [""]), ("slash", ["a/b"]), ("backslash", ["a\\b"]),
                            ("repeated", ["a", "a"]))),
     *(pytest.param({"initial": dict(SMALL_EVOLVE["initial"], smooth_length=v)},
-                   id=f"smooth_length={v}") for v in (-0.3, float("inf"), float("nan"))),
+                   id=f"smooth_length={v}") for v in (-0.3, float("inf"), float("nan"), 1e6)),
     pytest.param({"initial": {"kind": "gaussian", "width": float("nan")}}, id="width=nan"),
     pytest.param({"initial": dict(SMALL_EVOLVE["initial"], seed=None)}, id="seed=null"),
     # a(t) is either e^{2 gamma t} or the expression, never both

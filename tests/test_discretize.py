@@ -18,13 +18,9 @@ from qrhd import (
 )
 from qrhd.discretize import node_sqrt_g
 
+from helpers import hamiltonian
+
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
-
-
-def hamiltonian(stepper, t):
-    """H(t) = ck K + diag(diag) as CSR, from the stepper's parts."""
-    ck, diag = stepper.hamiltonian_parts(t)
-    return (ck * stepper.kinetic + sp.diags(diag)).tocsr()
 
 
 def unit_grid(dim, n):
@@ -265,7 +261,7 @@ def test_builtin_node_values_match_pointwise_values(chart):
         pot = sphere_quadratic_potential(np.eye(chart.ambient_dim) - 0.2, 1.3, chart)
     grid = Grid.for_chart(chart, 9)
     vals = pot.node_values(grid)
-    ref = np.array([pot.value_at(p) for p in grid.nodes()])
+    ref = np.array([pot.fn(p) for p in grid.nodes()])
     assert vals.shape == (grid.size,) and vals.dtype == float
     assert np.abs(vals - ref).max() <= 1e-14
     assert pot.node_values(Grid.for_chart(chart, 7)).shape == (7 ** chart.dim,)

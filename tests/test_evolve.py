@@ -24,15 +24,9 @@ from qrhd import (
     sphere_quadratic_potential,
 )
 
+from helpers import hamiltonian
+
 A1 = np.array([[1.0, -0.9], [-0.9, 1.0]])
-
-
-def hamiltonian(stepper, t):
-    """H(t) = ck K + diag(diag) as CSR, from the stepper's parts."""
-    import scipy.sparse as sp
-
-    ck, diag = stepper.hamiltonian_parts(t)
-    return (ck * stepper.kinetic + sp.diags(diag)).tocsr()
 
 
 def flat_grid(dim=1, n=5, width=None):
@@ -100,6 +94,11 @@ def test_init_state_validation():
             init_state(grid, chart, "gaussian", width=bad)
         with pytest.raises(ParameterError):
             init_state(grid, chart, "random-smooth", seed=1, smooth_length=bad)
+    # random-smooth needs its length, and no longer than the box's shortest edge (4 here)
+    for bad in (None, 4.5):
+        with pytest.raises(ParameterError, match="smooth_length"):
+            init_state(grid, chart, "random-smooth", seed=1, smooth_length=bad)
+    init_state(grid, chart, "random-smooth", seed=1, smooth_length=4.0)
 
 
 @pytest.mark.parametrize("chart", [SphereStereographicChart(3, 1.0, pole="south"),
@@ -184,7 +183,7 @@ def test_evolve_matches_manual_stepping(chart, weyl):
     # H(t) = -D / (2 m a) + diag(a eta V + dV / a)
     D = assemble_laplace_beltrami(chart, grid).toarray()
     nodes = grid.nodes()
-    V = np.array([pot.value_at(p) for p in nodes])
+    V = np.array([pot.fn(p) for p in nodes])
     dV = np.zeros(grid.size)
     if weyl:
         interior = ~grid.boundary_mask()
@@ -292,6 +291,40 @@ def test_dt_refinement_second_order():
     assert d2 < d1
 
 
+def test_ehrenfest_position_matches_the_damped_oscillator():
+    """An exact reference for the CN layer: for a quadratic V on a constant
+    chart, <x> obeys x'' + 2 gamma x' + eta G^{-1} A x = 0 (Ehrenfest), here
+    from rest at the centre of a real Gaussian.  The error falls as h^2, and
+    the step's share of it as dt^2."""
+    import scipy.linalg
+
+    c, s = np.cos(0.4), np.sin(0.4)
+    rot = np.array([[c, -s], [s, c]])
+    A = rot @ np.diag([2.0, 5.0]) @ rot.T
+    mass, eta, gamma, t_end = 20.0, 1.0, 0.25, 4.0
+    times = np.linspace(0.0, t_end, 41)
+
+    def positions(chart, n, dt):
+        grid = Grid.for_chart(chart, n)
+        psi = init_state(grid, chart, "gaussian", center=[0.3, -0.2], width=0.12)
+        return evolve(chart, grid, quadratic_potential(A, mass), Schedule(gamma, eta, t_end, dt),
+                      psi, sample_times=times, mass=mass).positions
+
+    for chart in (ConstantChart([[1.0, 0.3], [0.3, 1.0]]), FlatChart(2)):
+        G = chart.metric_at(np.zeros(2))
+        M = np.block([[np.zeros((2, 2)), np.eye(2)],
+                      [-eta * np.linalg.solve(G, A), -2.0 * gamma * np.eye(2)]])
+        exact = np.array([(scipy.linalg.expm(M * t) @ [0.3, -0.2, 0.0, 0.0])[:2]
+                          for t in times])
+        coarse, fine = (positions(chart, n, 0.01) for n in (48, 96))
+        ratio = np.abs(coarse - exact).max() / np.abs(fine - exact).max()
+        assert 3.5 <= ratio <= 4.5, (type(chart).__name__, ratio)
+    # the flat chart's 96^2 run at dt 0.01 between dt 0.02 and 0.005
+    x = [positions(chart, 96, 0.02), fine, positions(chart, 96, 0.005)]
+    ratio = np.abs(x[0] - x[1]).max() / np.abs(x[1] - x[2]).max()
+    assert 3.0 <= ratio <= 5.0, ratio
+
+
 def test_expectation_position_special_states():
     chart = FlatChart(2)
     grid = Grid.for_chart(chart, 41)
@@ -397,6 +430,17 @@ def test_window_refresh_releases_the_stale_factor(monkeypatch):
         psi = stepper.step(psi, 0.1 * k, 0.1)
     assert max(stepper.solve_iterations) < mod.PRECOND_REFRESH_ITERS
     assert len(held) == 4 and not any(held)
+
+
+def test_fresh_factor_holds_the_iteration_count_on_the_256_flat_chart():
+    # the flat_demo physics at t = 0; a fill cap that truncated this factor took 36 iterations
+    chart = FlatChart(2)
+    grid = Grid.for_chart(chart, 256)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=24.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
+    psi = init_state(grid, chart, "random-smooth", seed=42, smooth_length=0.35)
+    stepper.step(psi, 0.0, 0.01)
+    assert stepper.solve_iterations[0] <= 6
 
 
 @pytest.mark.parametrize("shape, sigmas", [

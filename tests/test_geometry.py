@@ -16,13 +16,11 @@ from qrhd import (
     Schedule,
     SingularMetricError,
     SphereStereographicChart,
-    christoffel,
     integrate_eom,
     kinetic_norm_bound,
     manifold_hessian,
     quadratic_potential,
     quantum_corrections,
-    ricci_scalar,
     sphere_quadratic_potential,
 )
 
@@ -67,16 +65,16 @@ def test_metric_inverse_identity(chart):
 def test_flat_chart_is_trivial():
     ch = FlatChart(2)
     p = np.array([0.3, -0.5])
-    assert np.array_equal(christoffel(ch, p), np.zeros((2, 2, 2)))
-    assert ricci_scalar(ch, p) == 0.0
+    assert np.array_equal(ch.christoffel_at(p), np.zeros((2, 2, 2)))
+    assert ch.ricci_scalar_at(p) == 0.0
     assert np.array_equal(ch.metric_at(p), np.eye(2))
 
 
 def test_constant_chart_flat_geometry():
     ch = ConstantChart(A1)
     p = np.array([0.2, 0.4])
-    assert np.array_equal(christoffel(ch, p), np.zeros((2, 2, 2)))
-    assert ricci_scalar(ch, p) == 0.0
+    assert np.array_equal(ch.christoffel_at(p), np.zeros((2, 2, 2)))
+    assert ch.ricci_scalar_at(p) == 0.0
 
 
 def test_constant_chart_rejects_bad_matrices():
@@ -87,7 +85,7 @@ def test_constant_chart_rejects_bad_matrices():
 
 
 def test_sphere_christoffel_vanishes_at_origin(south3):
-    gam = christoffel(south3, np.zeros(2))
+    gam = south3.christoffel_at(np.zeros(2))
     assert np.abs(gam).max() == 0.0
 
 
@@ -103,7 +101,7 @@ def test_sphere_christoffel_closed_form(south3):
         + np.einsum('ij,k->ijk', eye, b)
         - np.einsum('jk,i->ijk', eye, b)
     )
-    assert np.abs(christoffel(south3, v) - expected).max() < 1e-14
+    assert np.abs(south3.christoffel_at(v) - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("chart_name", ["south3", "north4"])
@@ -388,10 +386,15 @@ def test_sphere_embed_project_roundtrip(u, pole, radius):
 
 
 def test_domain_checks(south3):
+    grad = quadratic_potential(np.eye(2), 1.0).gradient_at
     with pytest.raises(DomainError):
-        christoffel(south3, np.array([1.5, 0.0]))
+        manifold_hessian(south3, grad, np.array([1.5, 0.0]))
     with pytest.raises(DomainError):
-        ricci_scalar(south3, np.array([0.0, -2.0]))
+        manifold_hessian(south3, grad, np.array([0.0, -2.0]))
+    with pytest.raises(ParameterError):
+        manifold_hessian(south3, grad, np.zeros(3))
+    with pytest.raises(ParameterError):
+        manifold_hessian(south3, grad, np.zeros((2, 2)))
 
 
 def test_singular_custom_metric_fails_fast():
@@ -413,11 +416,11 @@ def test_north_south_ricci_agree():
 def test_curvature_bundle_zero_on_flat_charts(south3):
     for chart in (FlatChart(2), ConstantChart(A1)):
         p = np.array([0.1, -0.2])
-        assert ricci_scalar(chart, p) == 0.0
+        assert chart.ricci_scalar_at(p) == 0.0
         assert np.all(chart.log_sqrt_g_gradient_many(p) == 0.0)
         assert quantum_corrections(chart, p, 1.0) == (0.0, 0.0)
     v = np.array([0.3, 0.1])
-    assert ricci_scalar(south3, v) == pytest.approx(2.0)
+    assert south3.ricci_scalar_at(v) == pytest.approx(2.0)
     assert quantum_corrections(south3, v, 2.0)[0] == pytest.approx(-1.0 / 8.0, abs=1e-12)
     # grad log sqrt(g) = -2 d v / (R^2 (1 + s)), s = |v|^2 / R^2, here d = 2 and R = 1
     grad_logsg = -2.0 * 2 * v / (1.0 + v @ v)
