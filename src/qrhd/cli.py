@@ -293,7 +293,6 @@ def _effective_evolve_config(cfg):
         lo = np.asarray(out["domain"]["lo"], dtype=float)
         hi = np.asarray(out["domain"]["hi"], dtype=float)
         init.setdefault("smooth_length", float(np.min(hi - lo) / 16.0))
-    out["schedule"] = {"dt": 0.005, **out["schedule"]}
     return out
 
 
@@ -333,6 +332,7 @@ def cmd_evolve(args):
     _check_types(cfg, flags=["weyl_correction"])
     with _reading("schedule"):
         schedule = build_schedule(cfg["schedule"])
+    cfg["schedule"] = {"dt": schedule.dt, **cfg["schedule"]}   # metadata records the default
     t_end = schedule.t_end
     with _reading("sample_every and frame_times"):
         sample_every = float(cfg["sample_every"])

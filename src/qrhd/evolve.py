@@ -6,9 +6,9 @@ time-dependent scalar prefactors.  Each step solves
 
     (I + i dt/2 H(t + dt/2)) psi' = (I - i dt/2 H(t + dt/2)) psi
 
-by BiCGSTAB preconditioned with a lazily refreshed incomplete LU of the
-left-hand matrix.  Because W H is Hermitian for W = diag(sqrt(g) prod h),
-the step preserves the weighted norm up to the solver residual.
+by BiCGSTAB preconditioned with an incomplete LU of the left-hand matrix,
+one factor per band of log a(t).  Because W H is Hermitian for W =
+diag(sqrt(g) prod h), the step preserves the weighted norm up to the solver residual.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from . import geometry
 from .discretize import assemble_laplace_beltrami, node_sqrt_g
 from .errors import ParameterError, ScheduleError, SolverError
 
-SOLVER_TARGET_RTOL = 1e-12     # aimed-for residual; must land under 1e-10
+SOLVER_TARGET_RTOL = 3e-13     # aimed-for residual; must land under 1e-10
 SOLVER_REQUIRED_RTOL = 1e-10
-PRECOND_REFRESH_WINDOW = 0.25  # schedule-time window one factorization serves
-PRECOND_REFRESH_ITERS = 6      # refresh early if solves get slower than this
+PRECOND_BAND = 0.125           # width in log a(t) of the band one factorization serves
 
 
 class _Lazy:
@@ -187,9 +186,10 @@ class CrankNicolsonStepper:
     """Forms H(t) and takes Crank-Nicolson steps, reusing factorizations.
 
     The kinetic matrix and potential diagonal are fixed; only their scalar
-    prefactors move with t, so "re-assembling H" per step is two scalar
-    multiplies.  The ILU preconditioner is refreshed when the schedule has
-    drifted past ``PRECOND_REFRESH_WINDOW`` or BiCGSTAB slows down.
+    prefactors move with a(t), so "re-assembling H" per step is two scalar
+    multiplies.  One ILU factor serves a band of ``PRECOND_BAND`` in log a; the
+    next is built at its band's centre a(t + dt/2) e^{+-PRECOND_BAND/2}, on the
+    side a moved to from the last factor's a (from a(0) when there is none).
     """
 
     def __init__(self, chart, grid, potential, schedule, mass,
@@ -212,8 +212,7 @@ class CrankNicolsonStepper:
         self._A = self.kinetic.astype(complex)
         rows = np.repeat(np.arange(grid.size), np.diff(self.kinetic.indptr))
         self._diag_pos = np.flatnonzero(self.kinetic.indices == rows)
-        self._fac = None
-        self._fac_time = -np.inf
+        self._fac, self._fac_a = None, schedule.a_at(0.0)   # a(0) sides the first band
         self.solve_iterations = []
 
     def hamiltonian_parts(self, t):
@@ -223,45 +222,46 @@ class CrankNicolsonStepper:
         correction is on.  It is off by default: K is already the full
         Laplace-Beltrami operator, and dV belongs to its momentum-ordered form.
         """
-        a = self.schedule.a_at(t)
+        return self._parts(self.schedule.a_at(t), f"a({t})")
+
+    def _parts(self, a, name):
         if not (0 < a < np.inf):
-            raise ScheduleError(f"a({t}) = {a} must be finite and positive")
+            raise ScheduleError(f"{name} = {a} must be finite and positive")
         ck = 1.0 / (a * 2.0 * self.mass)
         diag = (a * self.schedule.eta) * self.v_nodes
         if self.weyl_nodes is not None:
             diag = diag + (ck * 2.0 * self.mass) * self.weyl_nodes
         return ck, diag
 
-    def _refactor(self, t_mid):
-        """Factor the current A at t_mid; the stale factor goes first, so one is alive."""
-        self._fac = None
-        self._fac, self._fac_time = _factor(self._A), t_mid
+    def _write(self, theta, ck, diag):
+        """Write the CN matrix I + theta (ck K + diag(diag)) into A's values."""
+        np.multiply(self.kinetic.data, theta * ck, out=self._A.data)
+        self._A.data[self._diag_pos] += 1.0 + theta * diag
 
     @np.errstate(all="ignore")   # an H(t) past the float range surfaces as a non-finite residual
     def step(self, values, t, dt):
         """Advance the raw amplitude vector from t to t + dt."""
         t_mid = t + 0.5 * dt
-        ck, diag = self.hamiltonian_parts(t_mid)
-        theta = 0.5j * dt
-        A = self._A
-        np.multiply(self.kinetic.data, theta * ck, out=A.data)
-        A.data[self._diag_pos] += 1.0 + theta * diag
-        b = values - theta * (ck * (self.kinetic @ values) + diag * values)
-        if self._fac is None or (t_mid - self._fac_time) > PRECOND_REFRESH_WINDOW:
-            self._refactor(t_mid)
-        x, it, res = _bicgstab(A, b, values, self._fac.solve, SOLVER_TARGET_RTOL)
-        if not res <= SOLVER_REQUIRED_RTOL:     # a NaN residual fails as well
-            self._refactor(t_mid)
-            start = x if np.isfinite(res) else values
-            x, it2, res = _bicgstab(A, b, start, self._fac.solve, SOLVER_TARGET_RTOL)
-            it += it2
-            if not res <= SOLVER_REQUIRED_RTOL:
-                raise SolverError(
-                    f"linear solve stalled at t={t_mid}: relative residual {res:.3e}",
-                    residual=res,
-                )
-        if it >= PRECOND_REFRESH_ITERS:
-            self._fac = None  # force refresh next step
+        a, theta, A = self.schedule.a_at(t_mid), 0.5j * dt, self._A
+        parts = self._parts(a, f"a({t_mid})")
+        x, it, res = values, 0, 0.0
+        for _ in range(2):      # a failed solve drops the factor and retries once
+            if self._fac is None or abs(np.log(a / self._fac_a)) > PRECOND_BAND / 2:
+                a_fac = a * np.exp(np.sign(a - self._fac_a) * (PRECOND_BAND / 2))
+                self._fac = None    # the stale factor goes first, so one is alive
+                self._write(theta, *self._parts(a_fac, "the preconditioner's band centre a"))
+                self._fac, self._fac_a = _factor(A), a_fac
+            self._write(theta, *parts)
+            b = 2.0 * values - A @ values
+            x, n, res = _bicgstab(A, b, x if np.isfinite(res) else values, self._fac.solve,
+                                  SOLVER_TARGET_RTOL)
+            it += n
+            if res <= SOLVER_REQUIRED_RTOL:     # a NaN residual fails
+                break
+            self._fac, self._fac_a = None, self.schedule.a_at(0.0)
+        else:
+            raise SolverError(f"linear solve stalled at t={t_mid}: relative residual {res:.3e}",
+                              residual=res)
         self.solve_iterations.append(it)
         return x
 

@@ -109,6 +109,16 @@ def test_evolve_records_t_end_after_a_short_last_step(tmp_path):
     assert meta["results"]["south_v"]["final_position"] == list(rows[-1, 1:3])
 
 
+def test_evolve_metadata_records_the_default_dt(tmp_path):
+    schedule = {"gamma": 0.25, "eta": 1.0, "t_end": 0.02}
+    cfg = write_config(tmp_path, {**SMALL_EVOLVE, "grid": 9, "sample_every": 0.01,
+                                  "frame_times": [], "schedule": schedule})
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["config"]["schedule"] == {**schedule, "dt": 0.005}
+
+
 def test_evolve_seed_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, SMALL_EVOLVE)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -220,6 +230,8 @@ def a_expr_schedule(a_expr, dt):
     # the overflow of a(t), or past t = 0.5, where a(t) turns complex
     *(pytest.param(a_expr_schedule(a, 1.5), "ScheduleError", id=a)
       for a in ("1/t", "2**(2000*t)", "exp(1000*t)", "(0.5 - t)**0.5 + 1")),
+    # a(0.75) = 1.7e308 is finite, but the preconditioner's band centre e^{1/16} above it is not
+    pytest.param(a_expr_schedule("exp(946.3*t)", 1.5), "ScheduleError", id="exp(946.3*t)"),
     # at t = 0.365, a(t) = 3e158 is finite, but the norms of the CN vectors overflow
     pytest.param(a_expr_schedule("exp(1000*t)", 0.01), "SolverError",
                  id="exp(1000*t)-small-steps"),

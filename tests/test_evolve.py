@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qrhd import (
     ConstantChart,
@@ -23,6 +24,8 @@ from qrhd import (
     quantum_corrections,
     sphere_quadratic_potential,
 )
+
+from qrhd.cli import BUILTIN_CONFIGS, build_chart, build_potential, build_schedule
 
 from helpers import hamiltonian
 
@@ -426,10 +429,79 @@ def test_window_refresh_releases_the_stale_factor(monkeypatch):
         return real_factor(A)
 
     monkeypatch.setattr(mod, "_factor", factor)
-    for k in range(10):             # one factor serves 0.25 of schedule time
+    for k in range(10):             # one factor serves 0.125 of log a, three steps here
         psi = stepper.step(psi, 0.1 * k, 0.1)
-    assert max(stepper.solve_iterations) < mod.PRECOND_REFRESH_ITERS
+    assert max(stepper.solve_iterations) < 6
     assert len(held) == 4 and not any(held)
+
+
+def record_factors(monkeypatch):
+    """Replace ``_factor`` by one that keeps a copy of each matrix it factors."""
+    mod = sys.modules["qrhd.evolve"]
+    factored = []
+    real_factor = mod._factor
+
+    def factor(A):
+        factored.append(A.copy())
+        return real_factor(A)
+
+    monkeypatch.setattr(mod, "_factor", factor)
+    return factored
+
+
+def test_constant_schedule_factors_once(monkeypatch):
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule(gamma=0.0, eta=0.1, t_end=1.0, dt=0.01)
+    factored = record_factors(monkeypatch)
+    evolve(chart, grid, quadratic_potential(A1, 0.1), sched,
+           init_state(grid, chart, "random", seed=1), mass=0.1)
+    assert len(factored) == 1
+
+
+def test_first_factor_sits_half_a_band_ahead_of_the_step(monkeypatch):
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule(gamma=0.25, eta=0.1, t_end=1.0, dt=0.01)
+    stepper = CrankNicolsonStepper(chart, grid, quadratic_potential(A1, 0.1), sched, 0.1)
+    factored = record_factors(monkeypatch)
+    stepper.step(init_state(grid, chart, "random", seed=1), 0.0, 0.01)
+    # a(t) = e^{t/2}, so a(t_mid) e^{PRECOND_BAND/2} = a(t_mid + 0.125)
+    centre = sp.identity(grid.size) + 0.005j * hamiltonian(stepper, 0.005 + 0.125)
+    assert len(factored) == 1
+    assert abs(factored[0] - centre).max() < 1e-12 * abs(centre).max()
+
+
+def test_stepper_reads_a_only_at_zero_and_at_step_midpoints():
+    # a band centred in time would ask for a(t_mid + 0.125), past t_end on the last band
+    asked = []
+
+    def a(t):
+        asked.append(t)
+        return np.exp(2.0 * t)
+
+    chart, grid = flat_grid(2, 9)
+    sched = Schedule(a=a, eta=0.1, t_end=1.0, dt=0.1)
+    evolve(chart, grid, quadratic_potential(A1, 0.1), sched,
+           init_state(grid, chart, "random", seed=1), mass=0.1)
+    midpoints = (np.arange(10) + 0.5) * 0.1
+    assert {0.0} < set(asked)
+    assert all(t == 0.0 or np.abs(midpoints - t).min() < 1e-12 for t in asked)
+
+
+def test_sweep_physics_holds_bicgstab_iterations_under_four():
+    # the sweep_sphere64 benchmark's physics: one factor per band of a(t), centred
+    cfg = BUILTIN_CONFIGS["sphere_demo"]
+    chart = build_chart(cfg["charts"][1], cfg["domain"])
+    grid = Grid.for_chart(chart, 64)
+    sched = build_schedule(dict(cfg["schedule"], t_end=0.5))
+    mass = cfg["mass"]
+    stepper = CrankNicolsonStepper(chart, grid, build_potential(cfg["potential"], mass, chart),
+                                   sched, mass, include_weyl_correction=True)
+    psi = init_state(grid, chart, "random-smooth", seed=7,
+                     smooth_length=cfg["initial"]["smooth_length"])
+    for k in range(50):
+        psi = stepper.step(psi, 0.01 * k, 0.01)
+    assert np.mean(stepper.solve_iterations) <= 3.7
+    assert max(stepper.solve_iterations) <= 4
 
 
 def test_fresh_factor_holds_the_iteration_count_on_the_256_flat_chart():
