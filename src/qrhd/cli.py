@@ -405,6 +405,10 @@ def cmd_semiclassical(args):
     with _reading("gammas, epsilon_star and lambda_eff"):
         gammas = [float(g) for g in cfg["gammas"]]
         epsilon_star, lambda_eff = float(cfg["epsilon_star"]), float(cfg["lambda_eff"])
+    tags = [f"{g:g}" for g in gammas]     # each curve file is named <instance>_<tag>.csv
+    if len(set(tags)) < len(tags):
+        raise ParameterError(f"gammas {gammas} would share curve files: their names "
+                             f"read {tags}")
 
     report = run_instance_study(
         cfg["dim"], gammas, cfg["instances"], cfg["seed"],
@@ -414,13 +418,17 @@ def cmd_semiclassical(args):
     out_dir = _resolve_out(args, name)
     (out_dir / "curves").mkdir(parents=True, exist_ok=True)
     rows = []
+    t_cells = {}    # each gamma's t column, formatted once; an excluded run's is a prefix
     for r in report.runs:
         status = "excluded" if r.excluded else (
             "" if r.t_star is None else str(bool(r.satisfied)).lower())
         rows.append((r.instance, r.gamma, "" if r.t_star is None else r.t_star,
                      r.bound, status))
+        cells = t_cells.get(r.gamma, ())
+        if len(cells) < r.times.size:
+            cells = t_cells[r.gamma] = [FLOAT_FMT % t for t in r.times.tolist()]
         _write_csv(out_dir / "curves" / f"{r.instance}_{r.gamma:g}.csv",
-                   ["t", "ratio"], [r.times, r.ratios])
+                   ["t", "ratio"], [cells[:r.times.size], r.ratios])
     _write_csv(out_dir / "study.csv",
                ["instance", "gamma", "t_star", "bound", "satisfied"], zip(*rows))
     _write_json(out_dir / "study.json", {

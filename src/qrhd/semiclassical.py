@@ -13,7 +13,8 @@ the complex position.  One driver, ``integrate_eom``, integrates one
 state or a stack of them on any chart with one right-hand side, built from
 the chart's batched geometry and a ``Schedule``, and one adaptive
 integrator, Dormand-Prince 8(5,3) (Hairer's DOP853) with its 7th-order
-dense output; the random-instance study is one such stack on the sphere.
+dense output.  The random-instance study integrates one such stack on the
+sphere and keeps only each sample's distance to the optimum.
 The correction terms need a chart with closed forms for their gradients
 (flat, constant, sphere).
 
@@ -349,6 +350,20 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
     a given a(t) is a ``ParameterError``: the friction 2 gamma is a'/a only
     for a(t) = exp(2 gamma t).
     """
+    return Trajectory(*_integrate_samples(chart, potential, schedule, position, velocity,
+                                          times, corrections, log_measure, mass,
+                                          store=lambda block: block))
+
+
+def _integrate_samples(chart, potential, schedule, position, velocity, times,
+                       corrections, log_measure, mass, store):
+    """``integrate_eom``'s integration, keeping ``store(block)`` of each sample block.
+
+    ``store`` maps a ``(rows, k, dim)`` block of positions at k samples to a
+    ``(rows, k, ...)`` array, so only what it returns is held for the whole
+    run.  Returns (times, stored values, exit_sample, stats), the arrays with
+    the state's leading axes first.
+    """
     if schedule.a is not None:
         raise ParameterError("integrate_eom needs the schedule a(t) = exp(2 gamma t)")
     check_mass(mass)
@@ -364,7 +379,8 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
     times = np.asarray(times, dtype=float)
     rhs = _eom_rhs(chart, potential, schedule, mass, corrections, log_measure)
     solver = DormandPrince(rhs, times[0], y0, times[-1])
-    positions = np.empty((y0.shape[0], times.size, d), dtype=dtype)
+    first = store(y0[:, None, :d])
+    stored = np.empty((y0.shape[0], times.size) + first.shape[2:], dtype=first.dtype)
     exit_sample = np.full(y0.shape[0], -1, dtype=np.int64)
 
     def outside(p):
@@ -373,20 +389,18 @@ def integrate_eom(chart, potential, schedule, position, velocity, times,
                   & (np.abs(p.imag) <= 0.5 * (chart.hi - chart.lo)))
         return ~inside.all(axis=-1)
 
-    def record(i, j, block):
-        positions[:, i:j] = block
+    stored[:, :1] = first
+    exit_sample[outside(y0[:, :d])] = 0
+    solver.freeze(exit_sample == 0)
+    for i, j, block in solver.samples(times):
         if j > i:
+            stored[:, i:j] = store(block)
             bad = outside(block)
             hit = (exit_sample < 0) & bad.any(axis=1)
             exit_sample[hit] = i + np.argmax(bad[hit], axis=1)
-
-    record(0, 1, y0[:, None, :d])
-    solver.freeze(outside(y0[:, :d]))
-    for i, j, block in solver.samples(times):
-        record(i, j, block)
         solver.freeze(outside(solver.y[:, :d]))
-    return Trajectory(times, positions.reshape(lead + positions.shape[1:]),
-                      exit_sample.reshape(lead), solver.stats)
+    return (times, stored.reshape(lead + stored.shape[1:]), exit_sample.reshape(lead),
+            solver.stats)
 
 
 def detect_t_star(times, ratios, epsilon_star, mode="first"):
@@ -586,6 +600,9 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
     vstar = np.stack([d.v_star for d in draws])
     chart, potential = make_sphere_study_problem(A)
 
+    def distance(block):        # |Re p - v*| of each instance at each sample
+        return np.linalg.norm(block.real - vstar[:, None], axis=-1)
+
     bound, gamma_opt = convergence_bound(lambda_eff, 1.0, 1.0, epsilon_star)
     runs = []
     excluded_count = 0
@@ -596,12 +613,11 @@ def run_instance_study(dim, gammas, instances, seed, epsilon_star=STUDY_EPSILON,
         n_steps = int(np.ceil(_study_horizon(gamma, lambda_eff, epsilon_star) / dt))
         stride = max(1, int(round(0.01 / dt)))
         times = dt * stride * np.arange(n_steps // stride + 1)
-        traj = integrate_eom(chart, potential, Schedule(gamma), v0,
-                             np.zeros_like(v0), times, corrections, log_measure)
-        positions, exit_sample = traj.positions, traj.exit_sample
-        ode_steps.append(dict(gamma=float(gamma), **asdict(traj.stats)))
-        for i in range(instances):
-            dev = np.linalg.norm(positions[i].real - vstar[i], axis=-1)
+        _, distances, exit_sample, stats = _integrate_samples(
+            chart, potential, Schedule(gamma), v0, np.zeros_like(v0), times,
+            corrections, log_measure, 1.0, store=distance)
+        ode_steps.append(dict(gamma=float(gamma), **asdict(stats)))
+        for i, dev in enumerate(distances):
             ratios = dev / dev[0]
             if exit_sample[i] >= 0:
                 excluded_count += 1

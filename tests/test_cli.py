@@ -166,8 +166,9 @@ def assert_one_json_error(capsys, kind="ParameterError"):
 
 
 @pytest.mark.parametrize("case", [
+    # the last two print alike, so their curve files would overwrite each other
     *(pytest.param(["--gammas", g, "--instances", "2"], id=g)
-      for g in ("0", "-1", "1,inf", "nan")),
+      for g in ("0", "-1", "1,inf", "nan", "1.0,1.0000001", "1,1")),
     *(pytest.param(["--gammas", "1", "--instances", n], id=f"instances={n}")
       for n in ("-2", "0")),
     # values the flags cannot carry, from a config

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -450,6 +452,38 @@ def test_batch_freezes_ejected_instances_and_matches_solo_runs():
             assert np.array_equal(positions[i, -1], positions[i, -2])
 
 
+def test_study_ratios_match_the_positions_of_the_same_batch(monkeypatch):
+    # the batch above, through the study: horizon 5 samples t = 0, 0.01, ..., 5
+    monkeypatch.setattr(sc, "_study_horizon", lambda *args: 5.0)
+    rep = run_instance_study(5, [0.1], 16, seed=42, corrections=True)
+    times = max((r.times for r in rep.runs), key=len)
+    assert times.size == 501 and 0 < rep.excluded_count < 16
+    kids = np.random.SeedSequence(42).spawn(16)
+    draws = [RandomInstance.draw(5, np.random.default_rng(k)) for k in kids]
+    v0 = np.stack([d.initial_position for d in draws])
+    ref = study_stack(v0, np.stack([d.matrix for d in draws]), times, 0.1,
+                      corrections=True)
+    for i, r in enumerate(rep.runs):
+        dev = np.linalg.norm(ref.positions[i].real - draws[i].v_star, axis=-1)
+        ratios = dev / dev[0]
+        k = ref.exit_sample[i]
+        assert r.excluded == (k >= 0)
+        assert np.array_equal(r.ratios, ratios[: k + 1] if r.excluded else ratios)
+        assert np.array_equal(r.times, times[: r.ratios.size])
+
+
+def test_study_holds_distances_not_positions():
+    tracemalloc.start()
+    try:
+        rep = run_instance_study(5, [1.0], 100, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (instances, samples, dim) float positions of the stack
+    positions_bytes = 100 * rep.runs[0].times.size * 4 * 8
+    assert peak < positions_bytes
+
+
 def test_runaway_imaginary_part_leaves_the_box():
     # instance 7 of the seed-42 study: with the measure term its Im v grows
     # past the box while Re v stays inside
@@ -493,8 +527,8 @@ def test_non_finite_state_raises_blow_up():
 
 def test_study_checks_epsilon_star_before_it_integrates(monkeypatch):
     calls = []
-    integrate = sc.integrate_eom
-    monkeypatch.setattr(sc, "integrate_eom",
+    integrate = sc._integrate_samples
+    monkeypatch.setattr(sc, "_integrate_samples",
                         lambda *args, **kw: calls.append(1) or integrate(*args, **kw))
     with pytest.raises(ParameterError, match="epsilon_star"):
         run_instance_study(3, [1.0, 5.0], 2, seed=1, epsilon_star=1.0)
